@@ -105,21 +105,30 @@ def _emit(args, text: str):
         sys.stdout.write(text)
 
 
-def _load_json_file(path, what):
+def _read_text_file(path, what):
     try:
         with open(path) as fh:
-            return json.load(fh)
+            return fh.read()
     except OSError as exc:
         raise SchemaError(str(exc), what)
+
+
+def _load_json_file(path, what):
+    text = _read_text_file(path, what)
+    try:
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"invalid JSON: {exc}", what)
 
 
 def _parse_vector(text):
     try:
-        return np.array([float(c) for c in text.split(",")], dtype=float)
+        vec = np.array([float(c) for c in text.split(",")], dtype=float)
     except ValueError:
         raise _UsageError(f"bad vector literal {text!r}")
+    if not np.all(np.isfinite(vec)):
+        raise _UsageError(f"vector literal {text!r} has a non-finite entry")
+    return vec
 
 
 def _parse_shells(text):
@@ -208,8 +217,7 @@ def cmd_potential(args) -> int:
     measure_path = args.measure if args.kind != "dirichlet" else None
     cfg = KernelConfig(_inferred_dimension(args, data_path, measure_path), args.m)
     vf, hf = _load_fields(cfg, data_path, measure_path)
-    with open(args.points) as fh:
-        pts = read_points_csv(fh.read(), cfg.n)
+    pts = read_points_csv(_read_text_file(args.points, "points"), cfg.n)
     if args.kind == "dirichlet":
         fn = lambda p: eval_dirichlet(vf, p)
     elif args.kind == "green":
@@ -281,8 +289,7 @@ def cmd_growth(args) -> int:
 
 
 def cmd_capacity(args) -> int:
-    with open(args.points) as fh:
-        text = fh.read()
+    text = _read_text_file(args.points, "points")
     n = args.n
     if n is None:
         header = text.strip().splitlines()[0] if text.strip() else ""

@@ -112,11 +112,13 @@ class Ball:
 
 def as_coords(point, n=None) -> np.ndarray:
     """Coerce a Point / BoundaryPoint / sequence to a float vector, checking
-    the dimension when one is expected."""
+    the dimension when one is expected and that every coordinate is finite."""
     if isinstance(point, (Point, BoundaryPoint)):
         c = point.coords
     else:
         c = np.atleast_1d(np.asarray(point, dtype=float))
+        if not np.isfinite(c).all():
+            raise DomainError("coordinates must be finite")
     if n is not None and c.size != n:
         raise DimensionError(f"expected {n} coordinates, got {c.size}")
     return c

@@ -15,7 +15,10 @@ where they overlap:
 * the Gegenbauer tail series starting at the first surviving degree, used
   when the source radius is at least twice the field radius.  This route is
   free of the catastrophic cancellation the closed-form difference suffers
-  deep in the tail.
+  deep in the tail.  Each element of a batch is truncated by its own ratio
+  q = |x|/|y|, once the next term's envelope C_k(1) q^k falls below 1e-17
+  of the leading term's, so a batch costs no more terms per element than
+  that element needs.
 """
 from __future__ import annotations
 
@@ -25,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError, DomainError, SingularityError
-from .gegenbauer import gegenbauer_at_one, recurrence_ladder
+from .gegenbauer import recurrence_ladder
 from .geometry import as_coords
 
 _SERIES_CAP = 400
@@ -74,36 +77,63 @@ def _boundary_coords(cfg, yp):
 def gegenbauer_tail_sum(lam, t, q, k_start, cap=_SERIES_CAP):
     """sum_{k >= k_start} C_k^lam(t) * q^k, elementwise over broadcast t, q.
 
-    Intended for 0 <= q <= 0.5 (geometric decay); truncated adaptively once
-    the worst-case next term falls below 1e-17 of the leading term's scale.
+    Intended for 0 <= q <= 0.5 (geometric decay).  Each element is truncated
+    by its own q: degree k >= k_start + 2 is added only while the previous
+    term's envelope C_{k-1}^lam(1) * q^(k-1-k_start) is at least 1e-17 of the
+    leading scale C_{k_start}^lam(1); no degree above ``cap`` is used, and an
+    element with q = 0 keeps only its leading term.
+
+    The elements are sorted once by descending q, so those still active at
+    a degree form a prefix that shrinks as the degree grows; the three-term
+    recurrence runs on that prefix only, with the same arithmetic per
+    element as a sum over all of them.
     """
-    t = np.asarray(t, dtype=float)
-    q = np.asarray(q, dtype=float)
-    t, q = np.broadcast_arrays(t, q)
-    total = np.zeros(t.shape, dtype=float)
-    qmax = float(q.max()) if q.size else 0.0
-    ref = gegenbauer_at_one(lam, k_start)
-    c_km1 = None
-    c_km2 = None
-    qk = np.ones_like(total)
-    for k in range(cap + 1):
+    t, q = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(q, dtype=float))
+    shape = t.shape
+    order = np.argsort(q, axis=None)[::-1]
+    qs = q.ravel()[order]
+    ts = t.ravel()[order]
+    size = qs.size
+
+    # Active prefix length at degrees k_start+1 .. cap, from the least q
+    # each degree needs.  Degree k_start+1 needs q > 0, so all-zero q stops
+    # after the leading term.  Degree k needs C_{k-1}(1) q^(k-1-k_start) >=
+    # rtol C_{k_start}(1), with C_k(1) from its ratio recurrence
+    # C_k(1) = C_{k-1}(1) (k + 2 lam - 1) / k.
+    ks = np.arange(k_start + 1, cap, dtype=float)
+    growth = np.cumprod((ks + 2.0 * lam - 1.0) / ks)
+    thresholds = np.append(
+        np.nextafter(0.0, 1.0), (_SERIES_RTOL / growth) ** (1.0 / (ks - k_start))
+    )
+    counts = np.minimum.accumulate(size - np.searchsorted(qs[::-1], thresholds))
+    counts = counts[: np.count_nonzero(counts)].tolist()
+    last = k_start + len(counts)
+
+    total = np.zeros(size, dtype=float)
+    qk = np.ones(size, dtype=float)
+    p = size
+    tp, qp, qkp, totp = ts, qs, qk, total
+    c_km1 = c_km2 = None
+    for k in range(last + 1):
+        if k > k_start and counts[k - k_start - 1] != p:
+            p = counts[k - k_start - 1]
+            tp, qp, qkp, totp = ts[:p], qs[:p], qk[:p], total[:p]
         if k == 0:
-            c_k = np.ones_like(t)
+            c_k = np.ones(p)
         elif k == 1:
-            c_k = 2.0 * lam * t
+            c_k = 2.0 * lam * tp
         else:
             c_k = (
-                2.0 * (k + lam - 1.0) * t * c_km1 - (k + 2.0 * lam - 2.0) * c_km2
+                2.0 * (k + lam - 1.0) * tp * c_km1[:p]
+                - (k + 2.0 * lam - 2.0) * c_km2[:p]
             ) / k
         if k >= k_start:
-            total += c_k * qk
-            if qmax == 0.0:
-                break
-            if gegenbauer_at_one(lam, k) * qmax ** (k - k_start) < _SERIES_RTOL * ref:
-                break
-        qk = qk * q
+            totp += c_k * qkp
+        qkp *= qp
         c_km2, c_km1 = c_km1, c_k
-    return total
+    out = np.empty(size, dtype=float)
+    out[order] = total
+    return out.reshape(shape)
 
 
 # ---------------------------------------------------------------------------

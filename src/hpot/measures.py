@@ -68,7 +68,9 @@ class AtomicMeasure:
 
     @property
     def total_mass(self) -> float:
-        return float(self.masses.sum())
+        """Correctly rounded sum of the masses, so threshold tests such as
+        lambda >= 5^beta * mu(H) carry no summation error."""
+        return math.fsum(self.masses.tolist())
 
     @classmethod
     def empty(cls, dimension: int) -> "AtomicMeasure":

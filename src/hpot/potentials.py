@@ -5,7 +5,9 @@ families are integrated in polar form: a panelized Gauss-Legendre rule in
 the boundary radius (refined near the kernel peak and cut at the unit-ball
 branch point) tensored with a rule in the polar angle; the improper radial
 integral is truncated where the kernel tail envelope times the family's own
-tail bound drops below 1e-9 of the accumulated absolute mass.
+tail bound drops below 1e-9 of the absolute mass inside the initial radius.
+That radius is doubled until the bound holds, which takes no quadrature
+pass beyond the one that measured the mass.
 """
 from __future__ import annotations
 
@@ -206,16 +208,16 @@ def _radial_family_quadrature(cfg, cx, data: BoundaryData):
             * ax**cfg.m
             / cfg.omega_n
         )
-        probe, probe_l1 = _quad_pass(cfg, cx, data, radial, rmax, 12)
+        # the L1 mass inside the first radius is the reference: the mass
+        # only grows with rmax, so this stop test is the strictest of them
+        _, probe_l1 = _quad_pass(cfg, cx, data, radial, rmax, 12)
         for _ in range(64):
             tail = kern_env * data.tail_integral_bound(rmax, float(-cfg.m - 2))
             if tail <= 1e-9 * max(probe_l1, 1e-300):
                 break
-            add, add_l1 = _quad_pass(cfg, cx, data, radial, 2.0 * rmax, 12)
-            probe_l1 = add_l1
             rmax *= 2.0
 
-    v16, l16 = _quad_pass(cfg, cx, data, radial, rmax, 16)
+    v16, _ = _quad_pass(cfg, cx, data, radial, rmax, 16)
     v24, l24 = _quad_pass(cfg, cx, data, radial, rmax, 24)
     err = abs(v24 - v16)
     scale_ref = max(abs(v24), l24 * 1e-3, 1e-300)

@@ -44,6 +44,17 @@ def test_kernel_singularity_exit(capsys):
     assert json.loads(err)["code"] == "singularity"
 
 
+def test_kernel_non_finite_vector_is_usage_error(capsys):
+    for x in ("0,0,nan", "0,inf,1"):
+        code, out, err = run_cli(
+            capsys, "kernel", "--kind", "P", "--n", "3", "--x", x, "--yp", "1,0"
+        )
+        assert code == 64
+        assert out == ""
+        assert err.count("\n") == 1
+        assert json.loads(err)["code"] == "usage"
+
+
 def test_bad_flags_exit(capsys):
     code, _, err = run_cli(capsys, "kernel", "--kind", "Q", "--n", "3", "--x", "0,0,1")
     assert code == 64
@@ -139,6 +150,22 @@ def test_potential_schema_error(tmp_path, capsys):
     )
     assert code == 65
     assert json.loads(err)["code"] == "schema"
+
+
+def test_missing_points_file_is_schema_error(tmp_path, capsys):
+    data = tmp_path / "atoms.json"
+    data.write_text(json.dumps(ATOMS))
+    missing = str(tmp_path / "absent.csv")
+    for argv in (
+        ["potential", "--kind", "dirichlet", "--data", str(data), "--n", "3", "--points", missing],
+        ["capacity", "--kind", "boundary", "--n", "3", "--points", missing],
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 65, argv
+        assert out == ""
+        payload = json.loads(err)
+        assert payload["code"] == "schema"
+        assert payload["message"].startswith("points:")
 
 
 def test_exceptional_covering_json(tmp_path, capsys):

@@ -189,3 +189,13 @@ def test_scan_csv_header():
     text = scan_csv(rows)
     assert text.splitlines()[0] == "ray_index,radius,ratio,in_G"
     assert text.endswith("\n")
+
+
+def test_covering_precondition_at_exact_threshold():
+    # six atoms of mass 0.01 sum to 0.060000000000000005 in plain float
+    # addition; lambda = 1.5 is exactly 5^2 * 0.06 and must be admitted
+    pts = [[float(i), 0.0, 3.0] for i in range(6)]
+    mu = AtomicMeasure(3, pts, [0.01] * 6)
+    assert mu.total_mass == 0.06
+    assert MaximalQuery(2.0, 1.5).admits_covering(mu)
+    assert not MaximalQuery(2.0, 1.49).admits_covering(mu)

@@ -2,7 +2,15 @@ import numpy as np
 import pytest
 
 from hpot.errors import DimensionError, DomainError
-from hpot.geometry import Ball, BoundaryPoint, Point, kelvin_distances, reflect, stable_norm
+from hpot.geometry import (
+    Ball,
+    BoundaryPoint,
+    Point,
+    as_coords,
+    kelvin_distances,
+    reflect,
+    stable_norm,
+)
 
 
 def test_reflect_flips_last_coordinate():
@@ -91,3 +99,10 @@ def test_point_coords_frozen():
     p = Point([1, 2, 3])
     with pytest.raises(ValueError):
         p.coords[0] = 5.0
+
+
+def test_as_coords_rejects_non_finite():
+    for bad in ([0.0, 0.0, np.nan], [np.inf, 0.0, 1.0], [0.0, -np.inf]):
+        with pytest.raises(DomainError):
+            as_coords(bad)
+    assert as_coords([1, 2, 3], 3).tolist() == [1.0, 2.0, 3.0]

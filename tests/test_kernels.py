@@ -6,11 +6,12 @@ from scipy.special import gamma as sp_gamma
 
 from hpot.diagnostics import laplacian_residual
 from hpot.errors import DomainError, SingularityError
-from hpot.gegenbauer import recurrence_ladder
+from hpot.gegenbauer import gegenbauer_at_one, recurrence_ladder
 from hpot.kernels import (
     KernelConfig,
     fundamental,
     fundamental_tail_bound,
+    gegenbauer_tail_sum,
     green,
     green_bound_report,
     green_values,
@@ -347,3 +348,54 @@ def test_modified_kernels_harmonic():
                 assert laplacian_residual(
                     lambda z: modified_green(cfg, z, y), x, h
                 ) <= 1e-6
+
+
+# ---------------------------------------------------------------------------
+# Gegenbauer tail series
+# ---------------------------------------------------------------------------
+
+
+def mp_tail_sum(mpmath, lam, t, q, k_start):
+    """sum_{k >= k_start} C_k^lam(t) q^k as the generating function minus
+    its head, in mpmath arithmetic."""
+    t, q = mpmath.mpf(float(t)), mpmath.mpf(float(q))
+    head = [mpmath.mpf(1), 2 * lam * t]
+    for k in range(2, k_start):
+        head.append((2 * (k + lam - 1) * t * head[-1] - (k + 2 * lam - 2) * head[-2]) / k)
+    closed = (1 - 2 * t * q + q * q) ** (-lam)
+    return closed - sum(head[k] * q**k for k in range(k_start))
+
+
+def test_tail_sum_matches_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(12)
+    q = np.append(np.geomspace(1e-8, 0.5, 25), 0.0)
+    for lam in (0.5, 1.0, 1.5, 2.0, 2.5):
+        for k_start in range(6):
+            t = rng.uniform(-1.0, 1.0, q.size)
+            t[:3] = (1.0, -1.0, 0.0)
+            got = gegenbauer_tail_sum(lam, t, q, k_start)
+            assert got.shape == q.shape
+            for ti, qi, g in zip(t, q, got):
+                with mpmath.workdps(80):
+                    ref = float(mp_tail_sum(mpmath, lam, ti, qi, k_start))
+                scale = gegenbauer_at_one(lam, k_start) * qi**k_start
+                assert abs(g - ref) <= 1e-14 * scale, (lam, k_start, ti, qi)
+
+
+def test_tail_sum_shapes_and_elementwise_truncation():
+    empty = gegenbauer_tail_sum(1.5, np.zeros(0), np.zeros(0), 1)
+    assert empty.shape == (0,)
+    scalar = gegenbauer_tail_sum(1.5, 0.3, 0.2, 1)
+    assert scalar.shape == ()
+    assert float(scalar) == pytest.approx((1 - 0.12 + 0.04) ** -1.5 - 1.0, rel=1e-14)
+    assert np.array_equal(gegenbauer_tail_sum(1.5, [0.2, -0.7], 0.0, 0), [1.0, 1.0])
+    assert np.array_equal(gegenbauer_tail_sum(1.5, [0.2, -0.7], 0.0, 2), [0.0, 0.0])
+    # each element stops by its own q, so a broadcast batch equals its
+    # elements evaluated one at a time, bit for bit
+    t = np.linspace(-1.0, 1.0, 4)[:, None]
+    q = np.array([[0.0, 1e-6, 0.01, 0.3, 0.5]])
+    batch = gegenbauer_tail_sum(2.0, t, q, 3)
+    assert batch.shape == (4, 5)
+    single = [[gegenbauer_tail_sum(2.0, ti, qj, 3) for qj in q[0]] for ti in t[:, 0]]
+    assert np.array_equal(batch, np.array(single))

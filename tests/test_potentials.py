@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import hpot.potentials as potentials
 from hpot.diagnostics import laplacian_residual
 from hpot.errors import DomainError, IntegrabilityError, SchemaError, SingularityError
 from hpot.kernels import KernelConfig
@@ -97,6 +98,30 @@ def test_unit_poisson_integral():
         vf = dirichlet_field(cfg, BoundaryData.power_growth(n - 1, 0.0))
         for x in xs:
             assert eval_dirichlet(vf, x) == pytest.approx(1.0, abs=5e-8)
+
+
+def test_power_growth_point_takes_at_most_four_passes(monkeypatch):
+    # the truncation radius grows from one probe pass; the order-16 and
+    # order-24 passes (and an order-32 one if needed) give the value
+    passes = []
+    real_pass = potentials._quad_pass
+
+    def counting_pass(*args):
+        passes.append(args[-1])
+        return real_pass(*args)
+
+    monkeypatch.setattr(potentials, "_quad_pass", counting_pass)
+    cases = [
+        (KernelConfig(3, 1), 0.5, [0.3, 0.2, 1.0]),
+        (KernelConfig(3, 1), 0.5, [30.0, 20.0, 30.0]),
+        (KernelConfig(4, 2), 1.5, [2.0, -1.0, 0.5, 3.0]),
+    ]
+    for cfg, s, x in cases:
+        vf = dirichlet_field(cfg, BoundaryData.power_growth(cfg.n - 1, s))
+        passes.clear()
+        _, meta = eval_dirichlet_detailed(vf, x)
+        assert meta["converged"]
+        assert 3 <= len(passes) <= 4, passes
 
 
 def test_gate_refusal():
