@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -26,7 +27,11 @@ from .quadrature import panel_nodes, refined_breakpoints, unit_sphere_area
 BOUNDARY_CONDITION = "boundary_integrability"
 MEASURE_CONDITION = "measure_integrability"
 
-_FAMILY_IDS = ("power_growth", "gaussian_bump", "indicator_ball")
+_FAMILY_PARAMS = {
+    "power_growth": ("s",),
+    "gaussian_bump": ("c", "sigma"),
+    "indicator_ball": ("R",),
+}
 
 
 @dataclass(frozen=True)
@@ -66,10 +71,11 @@ class AtomicMeasure:
     def __len__(self):
         return self.masses.size
 
-    @property
+    @cached_property
     def total_mass(self) -> float:
         """Correctly rounded sum of the masses, so threshold tests such as
-        lambda >= 5^beta * mu(H) carry no summation error."""
+        lambda >= 5^beta * mu(H) carry no summation error.  Computed once:
+        the masses are read-only."""
         return math.fsum(self.masses.tolist())
 
     @classmethod
@@ -125,8 +131,16 @@ class BoundaryData:
             self.family_id, self.params = None, None
         elif kind == "family":
             fid, params = family
-            if fid not in _FAMILY_IDS:
+            if fid not in _FAMILY_PARAMS:
                 raise DomainError(f"unknown boundary family {fid!r}")
+            for key in _FAMILY_PARAMS[fid]:
+                v = params.get(key)
+                if not (
+                    isinstance(v, (int, float))
+                    and not isinstance(v, bool)
+                    and math.isfinite(v)
+                ):
+                    raise DomainError(f"{fid} needs a finite number {key}, got {v!r}")
             if fid == "gaussian_bump" and not params.get("sigma", 0) > 0:
                 raise DomainError("gaussian_bump needs sigma > 0")
             if fid == "indicator_ball" and not params.get("R", 0) > 0:
@@ -242,7 +256,7 @@ class BoundaryData:
             params = fam.get("params")
             if not isinstance(params, dict):
                 raise SchemaError("missing object field", "family.params")
-            if fid not in _FAMILY_IDS:
+            if fid not in _FAMILY_PARAMS:
                 raise SchemaError(f"unknown family id {fid!r}", "family.id")
             try:
                 return cls(dim, "family", family=(fid, params))

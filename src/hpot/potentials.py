@@ -278,9 +278,12 @@ def read_points_csv(text: str, n: int) -> np.ndarray:
         if len(cells) < n:
             raise SchemaError(f"expected {n} columns", f"points.row[{i}]")
         try:
-            rows.append([float(c) for c in cells[:n]])
+            row = [float(c) for c in cells[:n]]
         except ValueError as exc:
             raise SchemaError(str(exc), f"points.row[{i}]") from exc
+        if not all(math.isfinite(v) for v in row):
+            raise SchemaError("non-finite coordinate", f"points.row[{i}]")
+        rows.append(row)
     return np.asarray(rows, dtype=float).reshape(-1, n)
 
 

@@ -152,6 +152,71 @@ def test_potential_schema_error(tmp_path, capsys):
     assert json.loads(err)["code"] == "schema"
 
 
+@pytest.mark.parametrize(
+    "family",
+    [
+        '{"id": "power_growth", "params": {}}',
+        '{"id": "power_growth", "params": {"s": "a"}}',
+        '{"id": "gaussian_bump", "params": {"c": "a", "sigma": 1.0}}',
+        '{"id": "indicator_ball", "params": {"R": 1e400}}',
+    ],
+    ids=["missing_key", "string_s", "string_c", "infinite_R"],
+)
+def test_bad_family_params_are_schema_errors(tmp_path, capsys, family):
+    data = tmp_path / "f.json"
+    data.write_text('{"dimension": 2, "kind": "family", "family": %s}' % family)
+    pts = tmp_path / "pts.csv"
+    pts.write_text("x_1,x_2,x_3\n0,0,1\n")
+    code, out, err = run_cli(
+        capsys, "potential", "--kind", "dirichlet", "--data", str(data),
+        "--points", str(pts), "--n", "3", "--m", "1",
+    )
+    assert code == 65
+    assert out == ""
+    payload = json.loads(err)
+    assert payload["code"] == "schema"
+    assert payload["message"].startswith("family.params:")
+
+
+@pytest.mark.parametrize("cell", ["inf", "nan", "-inf"])
+def test_non_finite_points_are_schema_errors(tmp_path, capsys, cell):
+    data = tmp_path / "atoms.json"
+    data.write_text(json.dumps(ATOMS))
+    pts = tmp_path / "pts.csv"
+    pts.write_text(f"x_1,x_2,x_3\n0.5,0.2,{cell}\n")
+    for argv in (
+        ["potential", "--kind", "dirichlet", "--data", str(data), "--points", str(pts)],
+        ["capacity", "--kind", "boundary", "--n", "3", "--points", str(pts)],
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 65, argv
+        assert out == ""
+        payload = json.loads(err)
+        assert payload["code"] == "schema"
+        assert payload["message"].startswith("points.row[0]:")
+
+
+def test_inferred_dimension_parses_measure_once(tmp_path, capsys, monkeypatch):
+    mu = tmp_path / "mu.json"
+    mu.write_text(json.dumps(MU))
+    pts = tmp_path / "pts.csv"
+    pts.write_text("x_1,x_2,x_3\n0,0,1\n")
+    calls = []
+    real_loads = json.loads
+
+    def counting_loads(text, *args, **kwargs):
+        calls.append(text)
+        return real_loads(text, *args, **kwargs)
+
+    monkeypatch.setattr(json, "loads", counting_loads)
+    code, _, _ = run_cli(
+        capsys, "potential", "--kind", "green", "--measure", str(mu), "--points", str(pts)
+    )
+    monkeypatch.undo()
+    assert code == 0
+    assert calls == [mu.read_text()]
+
+
 def test_missing_points_file_is_schema_error(tmp_path, capsys):
     data = tmp_path / "atoms.json"
     data.write_text(json.dumps(ATOMS))

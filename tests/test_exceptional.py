@@ -1,13 +1,17 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import hpot.exceptional as exceptional
 from hpot.errors import DomainError
 from hpot.exceptional import (
     CoveringResult,
     GrowthParams,
     MaximalQuery,
+    _distance_profile,
+    _witness_radii,
     exceptional_candidates,
     exceptional_membership,
     growth_ratio,
@@ -199,3 +203,106 @@ def test_covering_precondition_at_exact_threshold():
     assert mu.total_mass == 0.06
     assert MaximalQuery(2.0, 1.5).admits_covering(mu)
     assert not MaximalQuery(2.0, 1.49).admits_covering(mu)
+
+
+def dense_witness_radii(mu, query, xs):
+    """Reference: the full distance sort of every row against every atom."""
+    r = np.sqrt(np.sum(xs * xs, axis=-1))
+    d, cum = _distance_profile(mu, xs)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ok = cum > query.lam * (d / r[:, None]) ** query.beta
+    at_atom = ok[:, 0] & (d[:, 0] == 0.0) & (query.beta > 0)
+    ok &= d > 0.0
+    has = ok.any(axis=1)
+    first = np.where(has, ok.argmax(axis=1), 0)
+    radii = np.where(has, d[np.arange(len(xs)), first], np.nan)
+    if np.any(at_atom):
+        crossing = r * (cum[:, 0] / query.lam) ** (1.0 / max(query.beta, 1e-300))
+        radii[at_atom] = np.fmin(
+            np.where(np.isnan(radii), np.inf, radii), 0.5 * crossing
+        )[at_atom]
+    radii[r < 2.0] = np.nan
+    return radii
+
+
+def _witness_atom_sets():
+    rng = np.random.default_rng(40)
+    grid = shell_lattice(2, 0.25, 3)
+    on_grid = grid[rng.choice(len(grid), 6, replace=False)]
+    near_grid = on_grid + rng.normal(size=(6, 3)) * 0.3
+    inner = rng.uniform(-1.0, 1.0, size=(5, 3))
+    far = rng.normal(size=(8, 3))
+    far *= 40.0 / np.linalg.norm(far, axis=1)[:, None]
+    return {
+        "on_lattice": np.vstack([on_grid, near_grid]),
+        "inner_and_lattice": np.vstack([inner, on_grid[:2]]),
+        "empty_annulus": far,
+    }
+
+
+_ATOM_SETS = _witness_atom_sets()
+
+
+@pytest.mark.parametrize("atoms", sorted(_ATOM_SETS))
+@pytest.mark.parametrize("beta", [0.0, 0.5, 2.0, 3.0])
+@pytest.mark.parametrize("lam_factor", [1.0, 1.5, 0.2])
+def test_witness_radii_match_dense_sort(atoms, beta, lam_factor):
+    # rows of shell 2 plus rows with |x| < 2; lam_factor < 1 is below the
+    # covering precondition, where the reach bound exceeds 1/5
+    pts = _ATOM_SETS[atoms]
+    rng = np.random.default_rng(41)
+    mu = AtomicMeasure(3, pts, rng.uniform(0.2, 2.0, len(pts)))
+    xs = np.vstack([shell_lattice(2, 0.25, 3), rng.uniform(-1.0, 1.0, size=(20, 3))])
+    q = MaximalQuery(beta, lam_factor * 5.0**beta * mu.total_mass)
+    expected = dense_witness_radii(mu, q, xs)
+    assert np.array_equal(_witness_radii(mu, q, xs), expected, equal_nan=True)
+    if atoms == "on_lattice" and beta > 0 and lam_factor == 1.0:
+        assert np.count_nonzero(~np.isnan(expected)) >= 6  # at_atom rows
+
+
+def test_witness_radii_blocks_match_dense_sort(monkeypatch):
+    # a budget smaller than one row of atoms gives one row per block
+    rng = np.random.default_rng(42)
+    grid = shell_lattice(1, 0.25, 3)
+    pts = np.vstack([grid[rng.choice(len(grid), 40, replace=False)], rng.normal(size=(60, 3)) * 3])
+    mu = AtomicMeasure(3, pts, rng.uniform(0.2, 2.0, len(pts)))
+    for beta, factor in ((2.0, 1.0), (1.0, 0.05)):
+        q = MaximalQuery(beta, factor * 5.0**beta * mu.total_mass)
+        expected = dense_witness_radii(mu, q, grid)
+        assert np.count_nonzero(~np.isnan(expected)) >= 40
+        for budget in (7, 250, 1 << 18):
+            monkeypatch.setattr(exceptional, "_BLOCK_ELEMENTS", budget)
+            got = _witness_radii(mu, q, grid)
+            assert np.array_equal(got, expected, equal_nan=True)
+
+
+def test_empty_annulus_sorts_nothing(monkeypatch):
+    mu = AtomicMeasure(3, _ATOM_SETS["empty_annulus"], np.ones(8))
+    q = MaximalQuery(2.0, 25.0 * mu.total_mass)
+
+    def no_sort(*args):
+        raise AssertionError("no row is within reach of an atom")
+
+    monkeypatch.setattr(exceptional, "_distance_profile", no_sort)
+    centers, radii = exceptional_candidates(mu, q, 2, 0.25)
+    assert len(centers) == 0 and len(radii) == 0
+
+
+def test_candidates_memory_bounded():
+    # 2000 atoms in three clusters across the shells; the dense search
+    # held a rows x atoms distance profile (about 226 MB per shell)
+    rng = np.random.default_rng(43)
+    centres = np.array([[4.0, 1.0, 3.0], [-12.0, 9.0, 14.0], [30.0, -50.0, 60.0]])
+    which = np.arange(2000) % 3
+    spread = 0.05 * np.linalg.norm(centres, axis=1)
+    pts = centres[which] + rng.normal(size=(2000, 3)) * spread[which, None]
+    mu = AtomicMeasure(3, pts, rng.uniform(0.5, 1.5, 2000) / 2000)
+    q = MaximalQuery(2.0, 1.2 * 25.0 * mu.total_mass)
+    tracemalloc.start()
+    try:
+        members = sum(len(exceptional_candidates(mu, q, k, 0.25)[0]) for k in range(1, 8))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+    assert members >= 1
