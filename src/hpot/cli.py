@@ -182,31 +182,21 @@ def cmd_kernel(args) -> int:
     return EXIT_OK
 
 
-def _load_inputs(data_path, measure_path):
-    """Parse each input file once: (data JSON, measure JSON), None if absent."""
-    data_obj = _load_json_file(data_path, "data") if data_path else None
-    measure_obj = _load_json_file(measure_path, "measure") if measure_path else None
-    return data_obj, measure_obj
-
-
-def _load_fields(cfg, data_obj, measure_obj):
-    vf = hf = None
-    if data_obj is not None:
-        vf = PotentialField(cfg, BoundaryData.from_json_dict(data_obj), "dirichlet")
-    if measure_obj is not None:
-        hf = PotentialField(cfg, AtomicMeasure.from_json_dict(measure_obj), "green")
-    return vf, hf
-
-
-def _inferred_dimension(args, data_obj, measure_obj):
-    """--n may be omitted when an input file pins the ambient dimension."""
-    if args.n is not None:
-        return args.n
-    if isinstance(measure_obj, dict) and isinstance(measure_obj.get("dimension"), int):
-        return measure_obj["dimension"]
-    if isinstance(data_obj, dict) and isinstance(data_obj.get("dimension"), int):
-        return data_obj["dimension"] + 1
-    raise _UsageError("--n is required when no input file fixes the dimension")
+def _load_fields(args, data_path, measure_path):
+    """(cfg, Dirichlet field, Green field) with each input file parsed once;
+    --n may be omitted, since every valid input file fixes the dimension."""
+    data = mu = None
+    if data_path:
+        data = BoundaryData.from_json_dict(_load_json_file(data_path, "data"))
+    if measure_path:
+        mu = AtomicMeasure.from_json_dict(_load_json_file(measure_path, "measure"))
+    n = args.n
+    if n is None:
+        n = mu.dimension if mu is not None else data.dimension + 1
+    cfg = KernelConfig(n, args.m)
+    vf = PotentialField(cfg, data, "dirichlet") if data is not None else None
+    hf = PotentialField(cfg, mu, "green") if mu is not None else None
+    return cfg, vf, hf
 
 
 def cmd_potential(args) -> int:
@@ -216,9 +206,7 @@ def cmd_potential(args) -> int:
         raise _UsageError(f"--kind {args.kind} requires --measure")
     data_path = args.data if args.kind != "green" else None
     measure_path = args.measure if args.kind != "dirichlet" else None
-    data_obj, measure_obj = _load_inputs(data_path, measure_path)
-    cfg = KernelConfig(_inferred_dimension(args, data_obj, measure_obj), args.m)
-    vf, hf = _load_fields(cfg, data_obj, measure_obj)
+    cfg, vf, hf = _load_fields(args, data_path, measure_path)
     pts = read_points_csv(_read_text_file(args.points, "points"), cfg.n)
     if args.kind == "dirichlet":
         fn = lambda p: eval_dirichlet(vf, p)
@@ -253,9 +241,7 @@ def _covering_from_json(obj) -> CoveringResult:
 def cmd_growth(args) -> int:
     if not (args.data or args.measure):
         raise _UsageError("growth scans need --data and/or --measure")
-    data_obj, measure_obj = _load_inputs(args.data, args.measure)
-    cfg = KernelConfig(_inferred_dimension(args, data_obj, measure_obj), args.m)
-    vf, hf = _load_fields(cfg, data_obj, measure_obj)
+    cfg, vf, hf = _load_fields(args, args.data, args.measure)
     subharmonic = hf is not None
 
     def u_eval(x):

@@ -196,7 +196,7 @@ def test_non_finite_points_are_schema_errors(tmp_path, capsys, cell):
         assert payload["message"].startswith("points.row[0]:")
 
 
-def test_inferred_dimension_parses_measure_once(tmp_path, capsys, monkeypatch):
+def test_omitted_dimension_parses_measure_once(tmp_path, capsys, monkeypatch):
     mu = tmp_path / "mu.json"
     mu.write_text(json.dumps(MU))
     pts = tmp_path / "pts.csv"
