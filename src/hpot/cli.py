@@ -52,12 +52,11 @@ from .kernels import (
 from .measures import AtomicMeasure, BoundaryData
 from .potentials import (
     PotentialField,
-    batch_evaluate,
+    check_thread_env,
     eval_dirichlet,
     eval_green_potential,
     eval_superposition,
     format_float,
-    max_threads,
     read_points_csv,
     values_csv,
 )
@@ -208,13 +207,13 @@ def cmd_potential(args) -> int:
     measure_path = args.measure if args.kind != "dirichlet" else None
     cfg, vf, hf = _load_fields(args, data_path, measure_path)
     pts = read_points_csv(_read_text_file(args.points, "points"), cfg.n)
+    check_thread_env()
     if args.kind == "dirichlet":
-        fn = lambda p: eval_dirichlet(vf, p)
+        values = eval_dirichlet(vf, pts)
     elif args.kind == "green":
-        fn = lambda p: eval_green_potential(hf, p)
+        values = eval_green_potential(hf, pts)
     else:
-        fn = lambda p: eval_superposition(vf, hf, p)
-    values = batch_evaluate(fn, pts, threads=max_threads())
+        values = eval_superposition(vf, hf, pts)
     _emit(args, values_csv(pts, values))
     return EXIT_OK
 

@@ -124,6 +124,19 @@ def as_coords(point, n=None) -> np.ndarray:
     return c
 
 
+def as_rows(x, n) -> tuple[np.ndarray, bool]:
+    """One point or a (P, n) array of points as rows of shape (P, n), and
+    whether it was one point; coordinates are checked as in ``as_coords``."""
+    if np.ndim(x) < 2:
+        return as_coords(x, n)[None, :], True
+    rows = np.asarray(x, dtype=float)
+    if rows.ndim != 2 or rows.shape[1] != n:
+        raise DimensionError(f"expected points of shape (P, {n}), got {rows.shape}")
+    if not np.isfinite(rows).all():
+        raise DomainError("coordinates must be finite")
+    return rows, False
+
+
 def reflect(p: Point) -> Point:
     """Reflection in the boundary plane: the last coordinate changes sign."""
     c = np.array(p.coords)

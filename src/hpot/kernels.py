@@ -7,18 +7,28 @@ which is what lets them absorb boundary data and measures of faster growth.
 Piecewise definitions (plain kernel for sources inside the unit ball) are
 kept exactly; the jump across the unit sphere is measure zero and accepted.
 
-Three evaluation routes are used internally and agree to machine precision
-where they overlap:
+All four modified kernels (E_m, G_m, P_m and the polar P_m of the boundary
+quadrature) compute their plain closed form and hand it to one route helper,
+``_modify``, which picks per element between three routes that agree to
+machine precision where they overlap:
 
-* plain closed forms,
-* closed form plus the finite correction sum (sources at moderate radius),
+* the plain closed form (sources inside the closed unit ball),
+* closed form minus the finite head of the expansion (sources at moderate
+  radius),
 * the Gegenbauer tail series starting at the first surviving degree, used
   when the source radius is at least twice the field radius.  This route is
   free of the catastrophic cancellation the closed-form difference suffers
-  deep in the tail.  Each element of a batch is truncated by its own ratio
+  deep in the tail.  Each element is truncated by its own ratio
   q = |x|/|y|, once the next term's envelope C_k(1) q^k falls below 1e-17
   of the leading term's, so a batch costs no more terms per element than
   that element needs.
+
+The Cartesian kernels take one field point x of shape (n,) or a block of
+points (P, n), giving values of shape (N,) or (P, N) against N sources.
+Distances and dot products are summed one coordinate at a time, never
+through BLAS, so every value is computed by the same elementwise arithmetic
+whatever the block: row i of a block call equals the call on x[i] bit for
+bit.
 """
 from __future__ import annotations
 
@@ -29,7 +39,7 @@ import numpy as np
 
 from .errors import DimensionError, DomainError, SingularityError
 from .gegenbauer import recurrence_ladder
-from .geometry import as_coords
+from .geometry import as_coords, as_rows
 
 _SERIES_CAP = 400
 _SERIES_RTOL = 1e-17
@@ -83,16 +93,22 @@ def gegenbauer_tail_sum(lam, t, q, k_start, cap=_SERIES_CAP):
     leading scale C_{k_start}^lam(1); no degree above ``cap`` is used, and an
     element with q = 0 keeps only its leading term.
 
-    The elements are sorted once by descending q, so those still active at
-    a degree form a prefix that shrinks as the degree grows; the three-term
-    recurrence runs on that prefix only, with the same arithmetic per
-    element as a sum over all of them.
+    The terms d_k = C_k(t) q^k follow the three-term recurrence with q
+    folded in, k d_k = 2(k+lam-1) (tq) d_{k-1} - (k+2lam-2) q^2 d_{k-2}.
+    q is sorted once by descending value (also when it broadcasts against
+    leading axes of t, such as the pair t, t* of the Green function), so the
+    elements still active at a degree form a prefix that shrinks as the
+    degree grows; the recurrence updates that prefix in place.
     """
-    t, q = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(q, dtype=float))
-    shape = t.shape
-    order = np.argsort(q, axis=None)[::-1]
-    qs = q.ravel()[order]
-    ts = t.ravel()[order]
+    t = np.asarray(t, dtype=float)
+    q = np.asarray(q, dtype=float)
+    shape = np.broadcast_shapes(t.shape, q.shape)
+    while q.ndim and q.shape[0] == 1:
+        q = q[0]
+    lead = shape[: len(shape) - q.ndim]
+    q_all = np.broadcast_to(q, shape[len(lead):]).ravel()
+    order = np.argsort(q_all)[::-1]
+    qs = q_all[order]
     size = qs.size
 
     # Active prefix length at degrees k_start+1 .. cap, from the least q
@@ -109,31 +125,70 @@ def gegenbauer_tail_sum(lam, t, q, k_start, cap=_SERIES_CAP):
     counts = counts[: np.count_nonzero(counts)].tolist()
     last = k_start + len(counts)
 
-    total = np.zeros(size, dtype=float)
-    qk = np.ones(size, dtype=float)
-    p = size
-    tp, qp, qkp, totp = ts, qs, qk, total
-    c_km1 = c_km2 = None
-    for k in range(last + 1):
+    rows = math.prod(lead)
+    tq = np.broadcast_to(t, shape).reshape(rows, size)[:, order]
+    tq *= qs
+    q2 = qs * qs
+    total = np.full((rows, size), 0.0 if k_start else 1.0)
+    work = np.empty((rows, size))
+    # d_{k-2}, d_{k-1} and the other arrays, cut to the active prefix p
+    p, older, newer = size, np.ones((rows, size)), 2.0 * lam * tq
+    tq_p, q2_p, total_p, work_p = tq, q2, total, work
+    mul = np.multiply
+    for k in range(1, last + 1):
         if k > k_start and counts[k - k_start - 1] != p:
             p = counts[k - k_start - 1]
-            tp, qp, qkp, totp = ts[:p], qs[:p], qk[:p], total[:p]
-        if k == 0:
-            c_k = np.ones(p)
-        elif k == 1:
-            c_k = 2.0 * lam * tp
-        else:
-            c_k = (
-                2.0 * (k + lam - 1.0) * tp * c_km1[:p]
-                - (k + 2.0 * lam - 2.0) * c_km2[:p]
-            ) / k
+            tq_p, q2_p, total_p, work_p = tq[:, :p], q2[:p], total[:, :p], work[:, :p]
+            older, newer = older[:, :p], newer[:, :p]
+        # ufunc calls with out=: cheaper per call than in-place operators
+        if k >= 2:
+            mul(older, q2_p, out=older)
+            mul(older, -(k + 2.0 * lam - 2.0) / k, out=older)
+            mul(tq_p, newer, out=work_p)
+            mul(work_p, 2.0 * (k + lam - 1.0) / k, out=work_p)
+            np.add(older, work_p, out=older)
+            older, newer = newer, older
         if k >= k_start:
-            totp += c_k * qkp
-        qkp *= qp
-        c_km2, c_km1 = c_km1, c_k
-    out = np.empty(size, dtype=float)
-    out[order] = total
-    return out.reshape(shape)
+            np.add(total_p, newer, out=total_p)
+    work[:, order] = total
+    return work.reshape(shape)
+
+
+# ---------------------------------------------------------------------------
+# pair geometry, one coordinate at a time
+# ---------------------------------------------------------------------------
+
+
+def _pairs(x, sources, n, width):
+    """Field points as rows xs (P, n), sources as rows ys (N, width), the
+    output shape (x's leading axis, if any, then the sources'), and per pair
+    d2 = |x' - y|^2 and dots = x'.y, x' being the first ``width``
+    coordinates of x, with the norms ax (P, 1) and ay (N,)."""
+    xs, single = as_rows(x, n)
+    ys = np.asarray(sources, dtype=float)
+    if ys.shape[-1:] != (width,):
+        raise DimensionError(f"expected sources with {width} coordinates, got shape {ys.shape}")
+    shape = xs.shape[: 0 if single else 1] + ys.shape[:-1]
+    ys = ys.reshape(-1, width)
+    d2, dots, tmp = (np.zeros((len(xs), len(ys))) for _ in range(3))
+    for j in range(width):
+        xj, yj = xs[:, j, None], ys[:, j]
+        np.subtract(xj, yj, out=tmp)
+        tmp *= tmp
+        d2 += tmp
+        np.multiply(xj, yj, out=tmp)
+        dots += tmp
+    ax = np.sqrt(sum(xs[:, j] * xs[:, j] for j in range(n)))[:, None]
+    ay = np.sqrt(sum(ys[:, j] * ys[:, j] for j in range(width)))
+    return xs, ys, shape, d2, dots, ax, ay
+
+
+def _cos_angle(dots, ax, ay):
+    """x.y / (|x||y|), clipped into [-1,1]; zero by convention when |x| = 0."""
+    denom = ax * ay
+    with np.errstate(invalid="ignore", divide="ignore"):
+        t = np.where(denom > 0.0, dots / np.where(denom > 0.0, denom, 1.0), 0.0)
+    return np.clip(t, -1.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -150,27 +205,29 @@ def fundamental(cfg: KernelConfig, x) -> float:
     return -cfg.r_n * r2 ** (0.5 * (2 - cfg.n))
 
 
-def green_values(cfg: KernelConfig, xs, ys) -> np.ndarray:
-    """Green function on batches; xs, ys are (..., n) arrays.
+def _green_closed_form(cfg, d2, tau_num):
+    """G from d2 = |x-y|^2 and tau_num = 4 x_n y_n.
 
     Uses expm1/log1p so the near-cancellation between the direct and
     reflected terms never loses relative accuracy; in particular the bounds
     of the classical Green-function estimates hold for the computed values
-    with no floating-point violations.
-    """
+    with no floating-point violations."""
+    if np.any(d2 == 0.0):
+        raise SingularityError("Green function evaluated on its diagonal")
+    tau = tau_num / (d2 + tau_num)
+    with np.errstate(divide="ignore"):
+        factor = np.expm1(0.5 * (cfg.n - 2) * np.log1p(-tau))
+    return cfg.r_n * d2 ** (0.5 * (2 - cfg.n)) * factor
+
+
+def green_values(cfg: KernelConfig, xs, ys) -> np.ndarray:
+    """Green function on batches; xs, ys are (..., n) arrays paired
+    elementwise."""
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     diff = xs - ys
     d2 = np.sum(diff * diff, axis=-1)
-    if np.any(d2 == 0.0):
-        raise SingularityError("Green function evaluated on its diagonal")
-    tau_num = 4.0 * xs[..., -1] * ys[..., -1]
-    dstar2 = d2 + tau_num
-    tau = tau_num / dstar2
-    nu = 0.5 * (cfg.n - 2)
-    with np.errstate(divide="ignore"):
-        factor = np.expm1(nu * np.log1p(-tau))
-    return cfg.r_n * d2 ** (0.5 * (2 - cfg.n)) * factor
+    return _green_closed_form(cfg, d2, 4.0 * xs[..., -1] * ys[..., -1])
 
 
 def green(cfg: KernelConfig, x, y) -> float:
@@ -179,16 +236,19 @@ def green(cfg: KernelConfig, x, y) -> float:
     return float(green_values(cfg, cx, cy))
 
 
+def _poisson_closed_form(cfg, xn, d2):
+    """2 x_n / (omega_n d2^(n/2)) from d2 = |x - (y',0)|^2."""
+    if np.any(d2 <= 0.0):
+        raise SingularityError("Poisson kernel evaluated at its boundary source")
+    return 2.0 * xn / (cfg.omega_n * d2 ** (0.5 * cfg.n))
+
+
 def poisson_values(cfg: KernelConfig, x, yps) -> np.ndarray:
     """Poisson kernel 2 x_n / (omega_n |x - (y',0)|^n) over a batch of
     boundary points yps with shape (..., n-1)."""
-    cx = np.asarray(x, dtype=float)
-    yps = np.asarray(yps, dtype=float)
-    diff = cx[:-1] - yps
-    d2 = np.sum(diff * diff, axis=-1) + cx[-1] ** 2
-    if np.any(d2 == 0.0):
-        raise SingularityError("Poisson kernel evaluated at its boundary source")
-    return 2.0 * cx[-1] / (cfg.omega_n * d2 ** (0.5 * cfg.n))
+    xs, _, shape, d2, _, _, _ = _pairs(x, yps, cfg.n, cfg.n - 1)
+    xn = xs[:, -1:]
+    return _poisson_closed_form(cfg, xn, d2 + xn * xn).reshape(shape)[()]
 
 
 def poisson(cfg: KernelConfig, x, yp) -> float:
@@ -202,56 +262,55 @@ def poisson(cfg: KernelConfig, x, yp) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _cos_angle(dots, ax, ay):
-    """x.y / (|x||y|), clipped into [-1,1]; zero by convention when |x| = 0."""
-    denom = ax * ay
-    with np.errstate(invalid="ignore", divide="ignore"):
-        t = np.where(denom > 0.0, dots / np.where(denom > 0.0, denom, 1.0), 0.0)
-    return np.clip(t, -1.0, 1.0)
+def _modify(plain, lam, ax, ay, t, order, power, amp):
+    """The modified kernel from the plain kernel values, for sources with
+    |y| > 1.
 
-
-def _promote_sources(arr, width):
-    a = np.asarray(arr, dtype=float)
-    if a.ndim == 1:
-        if a.size != width:
-            raise DimensionError(f"expected {width} coordinates, got {a.size}")
-        return a[None, :], True
-    if a.shape[-1] != width:
-        raise DimensionError(f"expected trailing axis {width}, got {a.shape[-1]}")
-    return a, False
+    The plain kernel expands as amp * sum_k C_k^lam(t) |x|^k / |y|^(power+k);
+    the modified kernel drops its first ``order`` terms.  ``t`` stacks the
+    cosines along a leading axis: one row, or two (y and its reflection y*)
+    when the kernel is the difference of the two expansions.  ax, ay, amp
+    and each row of t broadcast to plain's shape.  Sources with |y| >= 2|x|
+    take the tail series amp |y|^-power sum_{k >= order} C_k(t) q^k; the
+    others subtract the finite head from the closed form."""
+    if order == 0:
+        return plain
+    shape = plain.shape
+    out = plain.ravel()
+    ax, ay, amp = (np.broadcast_to(a, shape).ravel() for a in (ax, ay, amp))
+    t = np.broadcast_to(t, t.shape[:1] + shape).reshape(len(t), -1)
+    pair = len(t) == 2
+    outer = ay > 1.0
+    tail = np.flatnonzero(outer & (ay >= 2.0 * ax))
+    if tail.size:
+        ayt = ay[tail]
+        s = gegenbauer_tail_sum(lam, t[:, tail], ax[tail] / ayt, order)
+        s = s[0] - s[1] if pair else s[0]
+        out[tail] = amp[tail] * ayt ** (-float(power)) * s
+    # C_0 = 1 cancels in a pair's difference, so its head starts at degree 1
+    first = 1 if pair else 0
+    direct = np.flatnonzero(outer & (ay < 2.0 * ax))
+    if order > first and direct.size:
+        axd, ayd = ax[direct], ay[direct]
+        ladder = recurrence_ladder(lam, order - 1, t[:, direct])
+        ladder = ladder[:, 0] - ladder[:, 1] if pair else ladder[:, 0]
+        head = np.zeros(axd.shape)
+        for k in range(first, order):
+            head += axd**k * ladder[k] / ayd ** (power + float(k))
+        out[direct] -= amp[direct] * head
+    return out.reshape(shape)
 
 
 def modified_fundamental_values(cfg: KernelConfig, x, ys) -> np.ndarray:
-    """Modified fundamental solution at x against sources ys, shape (..., n)."""
-    cx = as_coords(x, cfg.n)
-    ys, single = _promote_sources(ys, cfg.n)
-    m, n = cfg.m, cfg.n
-    diff = cx - ys
-    d2 = np.sum(diff * diff, axis=-1)
+    """Modified fundamental solution at x, shape (n,) or (P, n), against
+    sources ys of shape (..., n)."""
+    _, _, shape, d2, dots, ax, ay = _pairs(x, ys, cfg.n, cfg.n)
     if np.any(d2 == 0.0):
         raise SingularityError("modified fundamental solution evaluated at x = y")
-    out = -cfg.r_n * d2 ** (0.5 * (2 - n))
-    if m == 0:
-        return out[0] if single else out
-    ay = np.sqrt(np.sum(ys * ys, axis=-1))
-    ax = float(np.sqrt(np.dot(cx, cx)))
-    lam = 0.5 * (n - 2)
-    t = _cos_angle(np.tensordot(ys, cx, axes=(-1, 0)), ax, ay)
-
-    tail = (ay > 1.0) & (ay >= 2.0 * ax)
-    if np.any(tail):
-        q = ax / ay[tail]
-        s = gegenbauer_tail_sum(lam, t[tail], q, m)
-        out[tail] = -cfg.r_n * ay[tail] ** (2.0 - n) * s
-
-    direct = (ay > 1.0) & ~tail
-    if np.any(direct):
-        ladder = recurrence_ladder(lam, m - 1, t[direct])
-        corr = np.zeros(t[direct].shape, dtype=float)
-        for k in range(m):
-            corr += ax**k * ladder[k] / ay[direct] ** (n - 2.0 + k)
-        out[direct] += cfg.r_n * corr
-    return out[0] if single else out
+    out = -cfg.r_n * d2 ** (0.5 * (2 - cfg.n))
+    t = _cos_angle(dots, ax, ay)[None]
+    out = _modify(out, 0.5 * (cfg.n - 2), ax, ay, t, cfg.m, cfg.n - 2, -cfg.r_n)
+    return out.reshape(shape)[()]
 
 
 def modified_fundamental(cfg: KernelConfig, x, y) -> float:
@@ -261,48 +320,19 @@ def modified_fundamental(cfg: KernelConfig, x, y) -> float:
 
 
 def modified_green_values(cfg: KernelConfig, x, ys) -> np.ndarray:
-    """Modified Green function: the modified fundamental solution of order
-    m+1 applied to y and to its boundary reflection, differenced.
+    """Modified Green function at x, shape (n,) or (P, n), against sources
+    ys of shape (..., n): the modified fundamental solution of order m+1
+    applied to y and to its boundary reflection, differenced.
 
     Sources inside the closed unit ball reduce to the plain Green function
     (both correction sums cancel since |y*| = |y|), and the value vanishes
     identically for boundary sources."""
-    cx = as_coords(x, cfg.n)
-    ys, single = _promote_sources(ys, cfg.n)
-    m, n = cfg.m, cfg.n
-    out = green_values(cfg, cx, ys)
-    ay = np.sqrt(np.sum(ys * ys, axis=-1))
-    mask = ay > 1.0
-    if not np.any(mask):
-        return out[0] if single else out
-    ax = float(np.sqrt(np.dot(cx, cx)))
-    lam = 0.5 * (n - 2)
-    ysm = ys[mask]
-    aym = ay[mask]
-    dots = np.tensordot(ysm, cx, axes=(-1, 0))
-    dots_star = dots - 2.0 * ysm[..., -1] * cx[-1]
-    t = _cos_angle(dots, ax, aym)
-    t_star = _cos_angle(dots_star, ax, aym)
-
-    tail = aym >= 2.0 * ax
-    vals = out[mask]
-    if np.any(tail):
-        q = ax / aym[tail]
-        s = gegenbauer_tail_sum(lam, t[tail], q, m + 1) - gegenbauer_tail_sum(
-            lam, t_star[tail], q, m + 1
-        )
-        vals[tail] = -cfg.r_n * aym[tail] ** (2.0 - n) * s
-    direct = ~tail
-    if np.any(direct) and m >= 1:
-        # degree-zero corrections cancel exactly between y and y*
-        ladder = recurrence_ladder(lam, m, t[direct])
-        ladder_star = recurrence_ladder(lam, m, t_star[direct])
-        corr = np.zeros(t[direct].shape, dtype=float)
-        for k in range(1, m + 1):
-            corr += ax**k * (ladder[k] - ladder_star[k]) / aym[direct] ** (n - 2.0 + k)
-        vals[direct] += cfg.r_n * corr
-    out[mask] = vals
-    return out[0] if single else out
+    xs, ys, shape, d2, dots, ax, ay = _pairs(x, ys, cfg.n, cfg.n)
+    xn, yn = xs[:, -1:], ys[:, -1]
+    out = _green_closed_form(cfg, d2, 4.0 * xn * yn)
+    t = np.stack([_cos_angle(dots, ax, ay), _cos_angle(dots - 2.0 * yn * xn, ax, ay)])
+    out = _modify(out, 0.5 * (cfg.n - 2), ax, ay, t, cfg.m + 1, cfg.n - 2, -cfg.r_n)
+    return out.reshape(shape)[()]
 
 
 def modified_green(cfg: KernelConfig, x, y) -> float:
@@ -312,41 +342,17 @@ def modified_green(cfg: KernelConfig, x, y) -> float:
 
 
 def modified_poisson_values(cfg: KernelConfig, x, yps) -> np.ndarray:
-    """Modified Poisson kernel at x against boundary sources yps (..., n-1).
+    """Modified Poisson kernel at x, shape (n,) or (P, n), against boundary
+    sources yps of shape (..., n-1).
 
     May be negative outside the unit ball; reduces to the plain kernel for
     |y'| <= 1 or when the modification order is zero."""
-    cx = as_coords(x, cfg.n)
-    yps, single = _promote_sources(yps, cfg.n - 1)
-    m, n = cfg.m, cfg.n
-    out = poisson_values(cfg, cx, yps)
-    if m == 0:
-        return out[0] if single else out
-    ayp = np.sqrt(np.sum(yps * yps, axis=-1))
-    mask = ayp > 1.0
-    if not np.any(mask):
-        return out[0] if single else out
-    ax = float(np.sqrt(np.dot(cx, cx)))
-    lam = 0.5 * n
-    ypm = yps[mask]
-    aym = ayp[mask]
-    t = _cos_angle(np.tensordot(ypm, cx[:-1], axes=(-1, 0)), ax, aym)
-
-    tail = aym >= 2.0 * ax
-    vals = out[mask]
-    if np.any(tail):
-        q = ax / aym[tail]
-        s = gegenbauer_tail_sum(lam, t[tail], q, m)
-        vals[tail] = 2.0 * cx[-1] / cfg.omega_n * aym[tail] ** (-float(n)) * s
-    direct = ~tail
-    if np.any(direct):
-        ladder = recurrence_ladder(lam, m - 1, t[direct])
-        corr = np.zeros(t[direct].shape, dtype=float)
-        for k in range(m):
-            corr += ax**k * ladder[k] / aym[direct] ** (n + float(k))
-        vals[direct] -= 2.0 * cx[-1] / cfg.omega_n * corr
-    out[mask] = vals
-    return out[0] if single else out
+    xs, _, shape, d2, dots, ax, ay = _pairs(x, yps, cfg.n, cfg.n - 1)
+    xn = xs[:, -1:]
+    out = _poisson_closed_form(cfg, xn, d2 + xn * xn)
+    t = _cos_angle(dots, ax, ay)[None]
+    out = _modify(out, 0.5 * cfg.n, ax, ay, t, cfg.m, cfg.n, 2.0 * xn / cfg.omega_n)
+    return out.reshape(shape)[()]
 
 
 def modified_poisson(cfg: KernelConfig, x, yp) -> float:
@@ -363,40 +369,19 @@ def modified_poisson_polar(cfg: KernelConfig, x, rho, cos_gamma) -> np.ndarray:
     integrates radial data and therefore never needs explicit boundary
     vectors."""
     cx = as_coords(x, cfg.n)
-    rho = np.asarray(rho, dtype=float)
-    cos_gamma = np.asarray(cos_gamma, dtype=float)
-    rho, cos_gamma = np.broadcast_arrays(np.atleast_1d(rho), np.atleast_1d(cos_gamma))
-    rho = rho.copy()
-    m, n = cfg.m, cfg.n
+    rho, cos_gamma = np.broadcast_arrays(
+        np.atleast_1d(np.asarray(rho, dtype=float)),
+        np.atleast_1d(np.asarray(cos_gamma, dtype=float)),
+    )
+    n = cfg.n
     xn = cx[-1]
     ax2 = float(np.dot(cx, cx))
     ax = math.sqrt(ax2)
     x_tan = math.sqrt(max(ax2 - xn * xn, 0.0))
 
-    d2 = ax2 - 2.0 * x_tan * rho * cos_gamma + rho * rho
-    if np.any(d2 <= 0.0):
-        raise SingularityError("Poisson kernel evaluated at its boundary source")
-    out = 2.0 * xn / (cfg.omega_n * d2 ** (0.5 * n))
-    if m == 0:
-        return out
-    lam = 0.5 * n
+    out = _poisson_closed_form(cfg, xn, ax2 - 2.0 * x_tan * rho * cos_gamma + rho * rho)
     t = np.clip(x_tan * cos_gamma / ax if ax > 0.0 else np.zeros_like(cos_gamma), -1, 1)
-    t = np.broadcast_to(t, rho.shape)
-
-    mask = rho > 1.0
-    tail = mask & (rho >= 2.0 * ax)
-    if np.any(tail):
-        q = ax / rho[tail]
-        s = gegenbauer_tail_sum(lam, t[tail], q, m)
-        out[tail] = 2.0 * xn / cfg.omega_n * rho[tail] ** (-float(n)) * s
-    direct = mask & ~tail
-    if np.any(direct):
-        ladder = recurrence_ladder(lam, m - 1, t[direct])
-        corr = np.zeros(t[direct].shape, dtype=float)
-        for k in range(m):
-            corr += ax**k * ladder[k] / rho[direct] ** (n + float(k))
-        out[direct] -= 2.0 * xn / cfg.omega_n * corr
-    return out
+    return _modify(out, 0.5 * n, ax, rho, t[None], cfg.m, n, 2.0 * xn / cfg.omega_n)
 
 
 # ---------------------------------------------------------------------------

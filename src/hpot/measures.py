@@ -75,8 +75,12 @@ class AtomicMeasure:
     def total_mass(self) -> float:
         """Correctly rounded sum of the masses, so threshold tests such as
         lambda >= 5^beta * mu(H) carry no summation error.  Computed once:
-        the masses are read-only."""
-        return math.fsum(self.masses.tolist())
+        the masses are read-only.  A sum past the float range is inf, the
+        correctly rounded value, since the masses are positive."""
+        try:
+            return math.fsum(self.masses.tolist())
+        except OverflowError:
+            return math.inf
 
     @classmethod
     def empty(cls, dimension: int) -> "AtomicMeasure":

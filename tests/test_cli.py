@@ -119,6 +119,38 @@ def test_thread_cap_env(tmp_path, capsys, monkeypatch):
     assert code == 2 and json.loads(err)["code"] == "domain"
 
 
+@pytest.mark.parametrize("kind", ["dirichlet", "green", "superposition"])
+def test_potential_below_boundary_is_domain_error(tmp_path, capsys, kind):
+    data = tmp_path / "atoms.json"
+    data.write_text(json.dumps(ATOMS))
+    mu = tmp_path / "mu.json"
+    mu.write_text(json.dumps(MU))
+    pts = tmp_path / "pts.csv"
+    pts.write_text("x_1,x_2,x_3\n0,0,1\n0,0,-1\n")
+    code, out, err = run_cli(
+        capsys, "potential", "--kind", kind, "--data", str(data),
+        "--measure", str(mu), "--points", str(pts), "--m", "1",
+    )
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    payload = json.loads(err)
+    assert payload["code"] == "domain"
+    assert "below the boundary" in payload["message"]
+
+
+def test_potential_empty_points_file(tmp_path, capsys):
+    mu = tmp_path / "mu.json"
+    mu.write_text(json.dumps(MU))
+    pts = tmp_path / "pts.csv"
+    pts.write_text("x_1,x_2,x_3\n")
+    code, out, _ = run_cli(
+        capsys, "potential", "--kind", "green", "--measure", str(mu), "--points", str(pts)
+    )
+    assert code == 0
+    assert out == "x_1,x_2,x_3,value\n"
+
+
 def test_potential_condition_refusal(tmp_path, capsys):
     bad = tmp_path / "f.json"
     bad.write_text(
@@ -254,6 +286,21 @@ def test_exceptional_precondition_exit(tmp_path, capsys):
         capsys, "exceptional", "--measure", str(mu), "--beta", "2", "--lambda", "1",
     )
     assert code == 2
+    assert json.loads(err)["code"] == "domain"
+
+
+def test_exceptional_mass_overflow_is_domain_error(tmp_path, capsys):
+    # the masses sum past the float range: the precondition refuses the
+    # input as one error object instead of a traceback
+    mu = tmp_path / "mu.json"
+    atoms = [{"point": [0.0, 0.0, 2.0], "mass": 1e308}, {"point": [1.0, 0.0, 3.0], "mass": 1e308}]
+    mu.write_text(json.dumps({"dimension": 3, "atoms": atoms}))
+    code, out, err = run_cli(
+        capsys, "exceptional", "--measure", str(mu), "--beta", "2", "--lambda", "1e300",
+    )
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
     assert json.loads(err)["code"] == "domain"
 
 

@@ -399,3 +399,136 @@ def test_tail_sum_shapes_and_elementwise_truncation():
     assert batch.shape == (4, 5)
     single = [[gegenbauer_tail_sum(2.0, ti, qj, 3) for qj in q[0]] for ti in t[:, 0]]
     assert np.array_equal(batch, np.array(single))
+
+
+# ---------------------------------------------------------------------------
+# block evaluation
+# ---------------------------------------------------------------------------
+
+
+def _route_sources(rng, n, width, count, ax_max):
+    """Sources whose radii cover every route for field radii up to ax_max:
+    inside the unit ball, between 1 and 2|x| (direct), beyond 2|x| (tail)."""
+    d = rng.normal(size=(count, width))
+    d /= np.linalg.norm(d, axis=1, keepdims=True)
+    if width == n:
+        d[:, -1] = np.abs(d[:, -1])
+        d[:4, -1] = 0.0  # boundary sources
+        d[:4] /= np.linalg.norm(d[:4], axis=1, keepdims=True)
+    radii = np.geomspace(0.2, 8 * ax_max, count)
+    radii[-2:] = (1.0, 2.0 * ax_max)
+    return d * rng.permutation(radii)[:, None]
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_block_rows_equal_single_point_calls(n):
+    rng = np.random.default_rng(100 + n)
+    xs = rng.normal(size=(9, n))
+    xs[:, -1] = np.abs(xs[:, -1])
+    xs *= np.geomspace(0.3, 4.0, 9)[:, None] / np.linalg.norm(xs, axis=1, keepdims=True)
+    ys = _route_sources(rng, n, n, 160, 4.0)
+    yps = _route_sources(rng, n, n - 1, 160, 4.0)
+    ay = np.linalg.norm(ys, axis=1)
+    ax = np.linalg.norm(xs, axis=1)[:, None]
+    routes = [ay <= 1, (ay > 1) & (ay < 2 * ax), (ay > 1) & (ay >= 2 * ax)]
+    assert all(np.any(r) for r in routes)
+    for m in range(4):
+        cfg = KernelConfig(n, m)
+        for fn, src in (
+            (modified_fundamental_values, ys),
+            (modified_green_values, ys),
+            (modified_poisson_values, yps),
+        ):
+            block = fn(cfg, xs, src)
+            assert block.shape == (len(xs), len(src))
+            for i, x in enumerate(xs):
+                assert np.array_equal(block[i], fn(cfg, x, src)), (fn.__name__, m, i)
+            assert np.array_equal(fn(cfg, xs[2:5], src), block[2:5])
+            assert np.array_equal(fn(cfg, xs, src[7]), block[:, 7])
+        assert np.all(modified_green_values(cfg, xs, ys[:4]) == 0.0)
+
+
+# ---------------------------------------------------------------------------
+# high-precision oracle at the route seams
+# ---------------------------------------------------------------------------
+
+SEAM_RTOL = 1e-11  # ceiling on the relative error; may only tighten
+
+
+def mp_modified_kernel(mpmath, n, order, x, y, power):
+    """amp-free plain kernel minus the first ``order`` expansion terms, with
+    |x - y|^(-power) for the plain part; y may be a boundary point (n-1
+    coordinates, embedded at height 0)."""
+    x = [mpmath.mpf(float(v)) for v in x]
+    y = [mpmath.mpf(float(v)) for v in y] + [mpmath.mpf(0)] * (len(x) - len(y))
+    lam = mpmath.mpf(power) / 2
+    d = mpmath.sqrt(sum((a - b) ** 2 for a, b in zip(x, y)))
+    ax = mpmath.sqrt(sum(a * a for a in x))
+    ay = mpmath.sqrt(sum(b * b for b in y))
+    value = d ** (-power)
+    if ay > 1 and order > 0:
+        t = sum(a * b for a, b in zip(x, y)) / (ax * ay)
+        head = [mpmath.mpf(1), 2 * lam * t]
+        for k in range(2, order):
+            head.append((2 * (k + lam - 1) * t * head[-1] - (k + 2 * lam - 2) * head[-2]) / k)
+        value -= sum(head[k] * ax**k / ay ** (power + k) for k in range(order))
+    return value
+
+
+def mp_modified_poisson(mpmath, cfg, x, yp):
+    omega = 2 * mpmath.pi ** (mpmath.mpf(cfg.n) / 2) / mpmath.gamma(mpmath.mpf(cfg.n) / 2)
+    amp = 2 * mpmath.mpf(float(x[-1])) / omega
+    return amp * mp_modified_kernel(mpmath, cfg.n, cfg.m, x, yp, cfg.n)
+
+
+def mp_modified_green(mpmath, cfg, x, y):
+    omega = 2 * mpmath.pi ** (mpmath.mpf(cfg.n) / 2) / mpmath.gamma(mpmath.mpf(cfg.n) / 2)
+    r_n = 1 / ((cfg.n - 2) * omega)
+    ystar = np.array(y, dtype=float)
+    ystar[-1] = -ystar[-1]
+    p = cfg.n - 2
+    return -r_n * (
+        mp_modified_kernel(mpmath, cfg.n, cfg.m + 1, x, y, p)
+        - mp_modified_kernel(mpmath, cfg.n, cfg.m + 1, x, ystar, p)
+    )
+
+
+def _seam_cases(rng, n, width):
+    """(x, source) pairs with |source| at 1 +- eps and 2|x| +- eps; x and
+    interior sources keep a height of at least 0.3 of their radius, so the
+    Green difference of y and y* does not cancel."""
+    cases = []
+    for ax in (0.7, 1.6, 3.0):
+        x = rng.normal(size=n)
+        x[-1] = abs(x[-1]) + 0.6 * np.linalg.norm(x)
+        x *= ax / np.linalg.norm(x)
+        for seam in (1.0, 2.0 * ax):
+            for eps in (1e-12, 1e-9, 1e-6, 1e-3):
+                for sign in (-1.0, 1.0):
+                    d = rng.normal(size=width)
+                    if width == n:
+                        d[-1] = abs(d[-1]) + 0.6 * np.linalg.norm(d)
+                    cases.append((x, d * seam * (1.0 + sign * eps) / np.linalg.norm(d)))
+    return cases
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_route_seams_match_mpmath(n):
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(200 + n)
+    for m in range(4):
+        cfg = KernelConfig(n, m)
+        for fn, ref, width in (
+            (modified_poisson_values, mp_modified_poisson, n - 1),
+            (modified_green_values, mp_modified_green, n),
+        ):
+            cases = _seam_cases(rng, n, width)
+            xs = np.array([x for x, _ in cases])
+            srcs = np.array([s for _, s in cases])
+            block = fn(cfg, xs, srcs)
+            for i, (x, s) in enumerate(cases):
+                with mpmath.workdps(50):
+                    exact = ref(mpmath, cfg, x, s)
+                    for got in (float(fn(cfg, x, s)), block[i, i]):
+                        err = abs((got - exact) / exact)
+                        assert err <= SEAM_RTOL, (fn.__name__, m, x, s, float(err))

@@ -82,6 +82,12 @@ def test_measure_gate_rejects_lower_halfspace():
         check_measure_condition(AtomicMeasure(3, [[0, 0, -1.0]], [1.0]), C31)
 
 
+def test_total_mass_past_float_range_is_inf():
+    mu = AtomicMeasure(3, [[0, 0, 2.0], [1.0, 0, 3.0]], [1e308, 1e308])
+    assert mu.total_mass == math.inf
+    assert AtomicMeasure(3, [[0, 0, 2.0]], [1e308]).total_mass == 1e308
+
+
 def test_condition_invariant_under_reordering():
     pts = [[0.5, 0.2, 1.0], [3.0, -1.0, 0.2], [0.1, 0.1, 2.5]]
     ms = [1.0, 2.0, 0.5]

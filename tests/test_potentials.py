@@ -6,7 +6,7 @@ import pytest
 import hpot.potentials as potentials
 from hpot.diagnostics import laplacian_residual
 from hpot.errors import DomainError, IntegrabilityError, SchemaError, SingularityError
-from hpot.kernels import KernelConfig
+from hpot.kernels import KernelConfig, modified_green_values, modified_poisson_values
 from hpot.measures import AtomicMeasure, BoundaryData
 from hpot.potentials import (
     batch_evaluate,
@@ -191,9 +191,85 @@ def test_csv_contract_roundtrip():
         read_points_csv("x_1,x_2,x_3\n1,2\n", 3)
 
 
-def test_batch_order_is_deterministic():
-    vf = dirichlet_field(C30, BoundaryData.atoms(2, [[0.0, 0.0]], [1.0]))
-    pts = np.array([[0, 0, t] for t in (1.0, 2.0, 3.0, 4.0)])
-    serial = batch_evaluate(lambda p: eval_dirichlet(vf, p), pts, threads=1)
-    threaded = batch_evaluate(lambda p: eval_dirichlet(vf, p), pts, threads=4)
-    assert np.array_equal(serial, threaded)
+def _atom_fields(cfg, rng, count):
+    bpts = rng.normal(size=(count, cfg.n - 1)) * rng.uniform(0.2, 20, (count, 1))
+    mpts = rng.normal(size=(count, cfg.n)) * rng.uniform(0.2, 20, (count, 1))
+    mpts[:, -1] = np.abs(mpts[:, -1])
+    mpts[:3, -1] = 0.0  # boundary atoms
+    vf = dirichlet_field(cfg, BoundaryData.atoms(cfg.n - 1, bpts, rng.uniform(0.1, 1, count)))
+    hf = green_field(cfg, AtomicMeasure(cfg.n, mpts, rng.uniform(0.1, 1, count)))
+    return vf, hf
+
+
+def _sum_tolerance(cfg, vf, hf, pts):
+    """Bound on the summation-order difference of the atom sums: the kernel
+    values agree bit for bit, so only the order of N additions may differ,
+    each sum by at most N * eps * sum_j |w_j K_j|."""
+    eps = np.finfo(float).eps
+    vdata, mu = vf.source, hf.source
+    pk = np.abs(modified_poisson_values(cfg, pts, vdata.points)) @ np.abs(vdata.weights)
+    gk = np.abs(modified_green_values(cfg, pts, mu.points)) @ mu.masses
+    return 2 * eps * (len(vdata.weights) * pk + len(mu.masses) * gk)
+
+
+@pytest.mark.parametrize("budget", [potentials._BLOCK_ELEMENTS, 7], ids=["default_budget", "budget_7"])
+def test_block_sums_match_points_in_input_order(monkeypatch, budget):
+    monkeypatch.setattr(potentials, "_BLOCK_ELEMENTS", budget)
+    rng = np.random.default_rng(23)
+    for n, m, count in ((3, 2, 300), (4, 1, 3), (5, 0, 40)):
+        cfg = KernelConfig(n, m)
+        vf, hf = _atom_fields(cfg, rng, count)
+        pts = rng.normal(size=(17, n)) * rng.uniform(0.1, 6, (17, 1))
+        pts[:, -1] = np.abs(pts[:, -1]) + 0.05
+        pts[0, -1] = 0.0  # on the boundary
+        tol = _sum_tolerance(cfg, vf, hf, pts)
+        for fn, args in (
+            (eval_dirichlet, (vf,)),
+            (eval_green_potential, (hf,)),
+            (eval_superposition, (vf, hf)),
+        ):
+            block = fn(*args, pts)
+            assert block.shape == (len(pts),)
+            single = np.array([fn(*args, p) for p in pts])
+            assert np.all(np.abs(block - single) <= tol), fn.__name__
+            perm = rng.permutation(len(pts))
+            assert np.all(np.abs(fn(*args, pts[perm]) - single[perm]) <= tol[perm])
+
+
+def test_block_evaluation_of_empty_inputs():
+    rng = np.random.default_rng(24)
+    vf, hf = _atom_fields(C31, rng, 5)
+    none = read_points_csv("x_1,x_2,x_3\n", 3)
+    assert none.shape == (0, 3)
+    for value in (eval_dirichlet(vf, none), eval_green_potential(hf, none),
+                  eval_superposition(vf, hf, none)):
+        assert value.shape == (0,)
+    empty_h = green_field(C31, AtomicMeasure.empty(3))
+    empty_v = dirichlet_field(C31, BoundaryData.atoms(2, np.zeros((0, 2)), []))
+    pts = np.array([[0.0, 0.0, 1.0], [2.0, -1.0, 0.5]])
+    assert np.array_equal(eval_green_potential(empty_h, pts), [0.0, 0.0])
+    assert np.array_equal(eval_dirichlet(empty_v, pts), [0.0, 0.0])
+    assert np.array_equal(eval_superposition(vf, empty_h, pts), eval_dirichlet(vf, pts))
+
+
+def test_family_block_is_the_per_point_loop():
+    vf = dirichlet_field(C31, BoundaryData.indicator_ball(2, 1.5))
+    pts = np.array([[0.3, 0.2, 1.0], [2.0, -1.0, 0.5], [0.0, 0.0, 3.0]])
+    assert np.array_equal(eval_dirichlet(vf, pts), [eval_dirichlet(vf, p) for p in pts])
+    assert np.array_equal(batch_evaluate(lambda p: p[-1], pts[::-1]), pts[::-1, -1])
+
+
+def test_points_below_boundary_are_refused():
+    rng = np.random.default_rng(25)
+    vf, hf = _atom_fields(C31, rng, 5)
+    family = dirichlet_field(C31, BoundaryData.gaussian_bump(2, 1.0, 1.0))
+    below = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
+    for fn, args in (
+        (eval_dirichlet, (vf,)),
+        (eval_dirichlet, (family,)),
+        (eval_green_potential, (hf,)),
+        (eval_superposition, (vf, hf)),
+    ):
+        for x in (below, below[1]):
+            with pytest.raises(DomainError, match="below the boundary"):
+                fn(*args, x)
