@@ -128,7 +128,7 @@ def gegenbauer_tail_sum(lam, t, q, k_start, cap=_SERIES_CAP):
     rows = math.prod(lead)
     tq = np.broadcast_to(t, shape).reshape(rows, size)[:, order]
     tq *= qs
-    q2 = qs * qs
+    q2 = np.multiply(qs, qs, out=qs)  # qs is not needed any more
     total = np.full((rows, size), 0.0 if k_start else 1.0)
     work = np.empty((rows, size))
     # d_{k-2}, d_{k-1} and the other arrays, cut to the active prefix p

@@ -201,15 +201,16 @@ def _atom_fields(cfg, rng, count):
     return vf, hf
 
 
-def _sum_tolerance(cfg, vf, hf, pts):
-    """Bound on the summation-order difference of the atom sums: the kernel
-    values agree bit for bit, so only the order of N additions may differ,
-    each sum by at most N * eps * sum_j |w_j K_j|."""
+def _sum_tolerances(cfg, vf, hf, pts):
+    """Bounds on the summation-order difference of the atom sums, for v and
+    for h: the kernel values agree bit for bit, so only the order of the N
+    additions may differ, each order within N * eps * sum_j |w_j K_j| of the
+    exact sum."""
     eps = np.finfo(float).eps
     vdata, mu = vf.source, hf.source
     pk = np.abs(modified_poisson_values(cfg, pts, vdata.points)) @ np.abs(vdata.weights)
     gk = np.abs(modified_green_values(cfg, pts, mu.points)) @ mu.masses
-    return 2 * eps * (len(vdata.weights) * pk + len(mu.masses) * gk)
+    return 2 * eps * len(vdata.weights) * pk, 2 * eps * len(mu.masses) * gk
 
 
 @pytest.mark.parametrize("budget", [potentials._BLOCK_ELEMENTS, 7], ids=["default_budget", "budget_7"])
@@ -222,11 +223,11 @@ def test_block_sums_match_points_in_input_order(monkeypatch, budget):
         pts = rng.normal(size=(17, n)) * rng.uniform(0.1, 6, (17, 1))
         pts[:, -1] = np.abs(pts[:, -1]) + 0.05
         pts[0, -1] = 0.0  # on the boundary
-        tol = _sum_tolerance(cfg, vf, hf, pts)
-        for fn, args in (
-            (eval_dirichlet, (vf,)),
-            (eval_green_potential, (hf,)),
-            (eval_superposition, (vf, hf)),
+        tol_v, tol_h = _sum_tolerances(cfg, vf, hf, pts)
+        for fn, args, tol in (
+            (eval_dirichlet, (vf,), tol_v),
+            (eval_green_potential, (hf,), tol_h),
+            (eval_superposition, (vf, hf), tol_v + tol_h),
         ):
             block = fn(*args, pts)
             assert block.shape == (len(pts),)
