@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -141,14 +142,24 @@ def _parse_shells(text):
     return range(lo, hi + 1)
 
 
+def _positive_int(text):
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def _parse_radii(text):
     try:
         lo, hi, count = text.split(":")
         lo, hi, count = float(lo), float(hi), int(count)
     except ValueError:
         raise _UsageError(f"bad radii spec {text!r}, expected lo:hi:count")
-    if not (0 < lo < hi and count >= 2):
-        raise _UsageError("radii spec must have 0 < lo < hi and count >= 2")
+    if not (0 < lo < hi < math.inf and count >= 2):
+        raise _UsageError("radii spec must have 0 < lo < hi < inf and count >= 2")
     return np.geomspace(lo, hi, count)
 
 
@@ -351,7 +362,7 @@ def _build_parser() -> _Parser:
     gr.add_argument("--data")
     gr.add_argument("--measure")
     gr.add_argument("--alpha", type=float, required=True)
-    gr.add_argument("--rays", type=int, default=8)
+    gr.add_argument("--rays", type=_positive_int, default=8)
     gr.add_argument("--radii", default="8:1024:16")
     gr.add_argument("--covering")
     gr.add_argument("--seed", type=int, default=0)
@@ -363,7 +374,7 @@ def _build_parser() -> _Parser:
     cap.add_argument("--n", type=int, help="inferred from the points header when omitted")
     cap.add_argument("--points", required=True)
     cap.add_argument("--window", type=int, default=1, help="dyadic window index i")
-    cap.add_argument("--nodes", type=int, default=160)
+    cap.add_argument("--nodes", type=_positive_int, default=160)
     cap.set_defaults(func=cmd_capacity)
 
     th = sub.add_parser("thinness", help="dyadic capacity series of a set")
@@ -371,8 +382,8 @@ def _build_parser() -> _Parser:
     th.add_argument("--kind", required=True, choices=[BOUNDARY, HALFSPACE])
     th.add_argument("--n", type=int, default=3)
     th.add_argument("--imax", type=int, default=8)
-    th.add_argument("--e-samples", type=int, default=48)
-    th.add_argument("--f-nodes", type=int, default=160)
+    th.add_argument("--e-samples", type=_positive_int, default=48)
+    th.add_argument("--f-nodes", type=_positive_int, default=160)
     th.add_argument("--out")
     th.set_defaults(func=cmd_thinness)
     return p

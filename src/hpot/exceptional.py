@@ -34,14 +34,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .geometry import Ball, Point, as_coords
+from .geometry import Ball, Point, as_coords, as_rows, stable_norm
 from .measures import AtomicMeasure
 
 INFLATION = 5.0
 
-# Row-atom pairs held at once by the witness search; each pair costs about
-# 64 bytes at the peak of _distance_profile.  Blocks of 2^16 pairs ran the
-# benchmark's covering faster than 2^18 or 2^20 (they stay in cache).
+# Row-atom pairs held at once by the witness search (and point-ball pairs by
+# CoveringResult.contains); each pair costs about 64 bytes at the peak of
+# _distance_profile.  Blocks of 2^16 pairs ran the benchmark's covering
+# faster than 2^18 or 2^20 (they stay in cache).
 _BLOCK_ELEMENTS = 1 << 16
 
 
@@ -68,8 +69,24 @@ class CoveringResult:
     weighted_sum: float
     bound: float
 
-    def contains(self, point) -> bool:
-        return any(b.contains(point) for b in self.balls)
+    def contains(self, point):
+        """Whether one point lies in an open ball of the covering (a bool),
+        or that test for each row of a (P, n) array (a (P,) bool array).
+
+        Each ball is tested as in ``Ball.contains``, ``stable_norm(x - c) <
+        radius``, so a point on a sphere is outside.  Rows go through in
+        blocks of at most _BLOCK_ELEMENTS point-ball pairs."""
+        if not self.balls:
+            return False if np.ndim(point) < 2 else np.zeros(len(point), dtype=bool)
+        centers = np.array([b.center.coords for b in self.balls])
+        radii = np.array([b.radius for b in self.balls])
+        pts, single = as_rows(point, centers.shape[1])
+        inside = np.zeros(len(pts), dtype=bool)
+        step = _block_rows(len(radii))
+        for lo in range(0, len(pts), step):
+            diff = pts[lo : lo + step, None, :] - centers[None, :, :]
+            inside[lo : lo + step] = np.any(stable_norm(diff) < radii, axis=1)
+        return bool(inside[0]) if single else inside
 
     def to_json_dict(self):
         return {
@@ -291,14 +308,19 @@ def vitali_covering(
 # ---------------------------------------------------------------------------
 
 
+def _ratios(values, xs, params: GrowthParams) -> np.ndarray:
+    """|u| / (x_n^(1-alpha) |x|^(m+alpha)) for each row of xs."""
+    r = np.sqrt(np.sum(xs * xs, axis=-1))
+    denom = xs[:, -1] ** (1.0 - params.alpha) * r ** (params.m + params.alpha)
+    return np.abs(values) / denom
+
+
 def growth_ratio(u_eval, x, params: GrowthParams) -> float:
     """|u(x)| / (x_n^(1-alpha) |x|^(m+alpha)); x must be interior."""
     cx = np.asarray(as_coords(x), dtype=float)
-    xn = cx[-1]
-    if not xn > 0.0:
+    if not cx[-1] > 0.0:
         raise DomainError("growth ratios are defined for interior points")
-    r = float(np.sqrt(np.dot(cx, cx)))
-    return abs(float(u_eval(cx))) / (xn ** (1.0 - params.alpha) * r ** (params.m + params.alpha))
+    return float(_ratios(float(u_eval(cx)), cx[None, :], params)[0])
 
 
 @dataclass(frozen=True)
@@ -322,6 +344,10 @@ def growth_scan(
     """Ratio table over rays x radii; points inside the covering are flagged
     so decay assertions can skip them.
 
+    ``u_eval`` takes a (P, n) array of points and returns their (P,) values;
+    it is called once, on every scan point in ray-major order (all radii of
+    ray 0, then ray 1, ...).  The ratios use the formula of ``growth_ratio``.
+
     The exponent range is the one under which the corresponding decay
     statement holds: alpha <= n for harmonic scans, alpha < 2 once a Green
     potential participates (the half-space estimate degenerates at 2).
@@ -334,18 +360,27 @@ def growth_scan(
     radii = list(radii)
     if any(b >= a for a, b in zip(radii[1:], radii)):
         raise DomainError("radii must be strictly increasing")
-    rows = []
+    dirs = []
     for i, ray in enumerate(rays):
         d = as_coords(ray, dim)
         if abs(float(np.linalg.norm(d)) - 1.0) > 1e-9:
             raise DomainError(f"ray {i} is not a unit vector")
         if not d[-1] > 0.0:
             raise DomainError(f"ray {i} does not point into the half-space")
-        for rho in radii:
-            x = rho * d
-            flagged = covering.contains(x) if covering is not None else False
-            rows.append(ScanRow(i, float(rho), growth_ratio(u_eval, x, params), flagged))
-    return rows
+        dirs.append(d)
+    rho = np.array(radii, dtype=float)
+    xs = (rho[None, :, None] * np.reshape(dirs, (-1, 1, dim))).reshape(-1, dim)
+    if not np.all(xs[:, -1] > 0.0):
+        raise DomainError("growth ratios are defined for interior points")
+    ratios = _ratios(np.asarray(u_eval(xs), dtype=float), xs, params)
+    if covering is not None:
+        flagged = covering.contains(xs)
+    else:
+        flagged = np.zeros(len(xs), dtype=bool)
+    return [
+        ScanRow(j // len(rho), float(rho[j % len(rho)]), float(q), bool(f))
+        for j, (q, f) in enumerate(zip(ratios, flagged))
+    ]
 
 
 def scan_csv(rows: list[ScanRow]) -> str:

@@ -11,6 +11,9 @@ import math
 
 import numpy as np
 
+from .errors import DomainError
+
+_HALTON_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 @functools.lru_cache(maxsize=None)
 def _leggauss(npts: int):
@@ -79,24 +82,30 @@ def refined_breakpoints(lo, hi, base_scale, anchors=()):
 
 
 def halton_sequence(count: int, dim: int, skip: int = 0) -> np.ndarray:
-    """First ``count`` points of the Halton sequence in [0,1)^dim.
+    """Points skip+1 .. skip+count of the Halton sequence in [0,1)^dim.
 
     Deterministic low-discrepancy stream; prefixes are nested, so doubling a
-    node budget only adds points.
+    node budget only adds points.  Coordinate j is the radical inverse of the
+    index in the j-th prime base, expanded digit by digit over the whole
+    index array at once with the scalar operation order (f /= b, then
+    r += f * digit), so every value equals the one-index loop bit for bit:
+    an exhausted index only adds +0.0.  The first 12 primes are the bases,
+    so dim > 12 is a DomainError.
     """
-    primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
-    if dim > len(primes):
-        raise ValueError(f"Halton dimension {dim} too large")
+    if dim > len(_HALTON_PRIMES) or min(count, dim, skip) < 0:
+        raise DomainError(
+            f"Halton sequences take 0 <= dim <= {len(_HALTON_PRIMES)} and "
+            f"count, skip >= 0, got count={count}, dim={dim}, skip={skip}"
+        )
+    index = np.arange(skip + 1, skip + count + 1, dtype=np.int64)
     out = np.empty((count, dim))
-    for j in range(dim):
-        b = primes[j]
-        for i in range(count):
-            k = i + 1 + skip
-            f = 1.0
-            r = 0.0
-            while k > 0:
-                f /= b
-                r += f * (k % b)
-                k //= b
-            out[i, j] = r
+    for j, b in enumerate(_HALTON_PRIMES[:dim]):
+        k = index.copy()
+        f = 1.0
+        r = np.zeros(count)
+        while k.any():
+            f /= b
+            r += f * (k % b)
+            k //= b
+        out[:, j] = r
     return out

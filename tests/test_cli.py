@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -317,6 +318,50 @@ def test_growth_scan_csv(tmp_path, capsys):
     lines = out.read_text().splitlines()
     assert lines[0] == "ray_index,radius,ratio,in_G"
     assert len(lines) == 1 + 4 * 5
+
+
+@pytest.mark.parametrize("argv", [
+    ("growth", "--data", "{atoms}", "--alpha", "1", "--rays", "0"),
+    ("growth", "--data", "{atoms}", "--alpha", "1", "--rays", "-2"),
+    ("capacity", "--kind", "boundary", "--points", "{pts}", "--nodes", "-3"),
+    ("thinness", "--set", "{set}", "--kind", "boundary", "--e-samples", "-4"),
+    ("thinness", "--set", "{set}", "--kind", "boundary", "--e-samples", "0"),
+    ("thinness", "--set", "{set}", "--kind", "boundary", "--f-nodes", "0"),
+], ids=["rays_0", "rays_neg", "nodes_neg", "e_samples_neg", "e_samples_0", "f_nodes_0"])
+def test_counts_below_one_are_usage_errors(tmp_path, capsys, argv):
+    files = {"atoms": tmp_path / "atoms.json", "pts": tmp_path / "e.csv", "set": tmp_path / "set.json"}
+    files["atoms"].write_text(json.dumps(ATOMS))
+    files["pts"].write_text("x_1,x_2,x_3\n0,0,3\n")
+    files["set"].write_text(json.dumps({"shape": "all"}))
+    code, out, err = run_cli(capsys, *[a.format(**files) for a in argv])
+    assert code == 64
+    assert out == "" and err.count("\n") == 1
+    assert json.loads(err)["code"] == "usage"
+
+
+@pytest.mark.parametrize("radii", ["4:inf:5", "-inf:4:5", "4:nan:5"])
+def test_non_finite_radii_are_usage_errors(tmp_path, capsys, radii):
+    data = tmp_path / "atoms.json"
+    data.write_text(json.dumps(ATOMS))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(
+            capsys, "growth", "--data", str(data), "--n", "3", "--alpha", "1", "--radii", radii
+        )
+    assert code == 64 and out == "" and caught == []
+    assert err.count("\n") == 1
+    assert json.loads(err)["code"] == "usage"
+
+
+def test_halton_dimension_above_twelve_is_domain_error(tmp_path, capsys):
+    spec = tmp_path / "set.json"
+    spec.write_text(json.dumps({"shape": "all"}))
+    code, out, err = run_cli(
+        capsys, "thinness", "--set", str(spec), "--kind", "boundary", "--n", "13", "--imax", "1"
+    )
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1
+    assert json.loads(err)["code"] == "domain"
 
 
 def test_capacity_command(tmp_path, capsys):

@@ -21,9 +21,15 @@ from hpot.exceptional import (
     shell_lattice,
     vitali_covering,
 )
-from hpot.kernels import KernelConfig
+from hpot.geometry import Ball, Point
+from hpot.kernels import KernelConfig, modified_green_values, modified_poisson_values
 from hpot.measures import AtomicMeasure, BoundaryData
-from hpot.potentials import dirichlet_field, eval_dirichlet
+from hpot.potentials import (
+    dirichlet_field,
+    eval_dirichlet,
+    eval_green_potential,
+    green_field,
+)
 
 
 def brute_maximal(mu, beta, x, radii):
@@ -178,6 +184,68 @@ def test_growth_scan_includes_flags_and_validation():
         growth_scan(u, rays, [4.0, 4.0], GrowthParams(1.0, 0), dim=3)
     with pytest.raises(DomainError):
         growth_scan(u, [np.array([0, 0, 2.0])], radii, GrowthParams(1.0, 0), dim=3)
+
+
+def _unit_rays(rng, count, n):
+    d = rng.normal(size=(count, n))
+    d[:, -1] = np.abs(d[:, -1]) + 0.2
+    return list(d / np.linalg.norm(d, axis=1, keepdims=True))
+
+
+def test_growth_scan_is_one_block_call_matching_growth_ratio():
+    rng = np.random.default_rng(44)
+    cfg = KernelConfig(3, 1)
+    bpts, mpts = rng.normal(size=(300, 2)) * 3, rng.normal(size=(300, 3)) * 3
+    mpts[:, -1] = np.abs(mpts[:, -1]) + 0.1
+    bw, mm = rng.uniform(0.1, 1.0, 300), rng.uniform(0.1, 1.0, 300) / 300
+    vf = dirichlet_field(cfg, BoundaryData.atoms(2, bpts, bw))
+    hf = green_field(cfg, AtomicMeasure(3, mpts, mm))
+    u = lambda x: eval_dirichlet(vf, x) + eval_green_potential(hf, x)
+    calls = []
+
+    def counted(x):
+        calls.append(np.shape(x))
+        return u(x)
+
+    rays, radii = _unit_rays(rng, 5, 3), np.geomspace(0.5, 300.0, 9)
+    params = GrowthParams(1.0, 1)
+    rows = growth_scan(counted, rays, radii, params, dim=3, subharmonic=True)
+    assert calls == [(45, 3)]
+    assert [(r.ray_index, r.radius) for r in rows] == [
+        (i, float(rho)) for i in range(5) for rho in radii
+    ]
+    xs = np.array([rho * d for d in rays for rho in radii])
+    # summation order only, as in the potentials' block-sum test, plus one
+    # rounding of each ratio's division
+    eps = np.finfo(float).eps
+    pk = np.abs(modified_poisson_values(cfg, xs, bpts)) @ bw
+    gk = np.abs(modified_green_values(cfg, xs, mpts)) @ mm
+    tol = 2 * eps * 300 * (pk + gk)
+    denom = np.linalg.norm(xs, axis=1) ** 2  # x_n^(1-alpha) |x|^(m+alpha)
+    single = np.array([growth_ratio(u, x, params) for x in xs])
+    got = np.array([r.ratio for r in rows])
+    assert np.all(np.abs(got - single) <= tol / denom + 2 * eps * single)
+
+
+def test_covering_contains_blocks_match_balls(monkeypatch):
+    rng = np.random.default_rng(45)
+    balls = [Ball(Point(c), float(r)) for c, r in
+             zip(rng.normal(size=(40, 3)) * 6, rng.uniform(0.5, 3.0, 40))]
+    balls.append(Ball(Point([1.0, 1.0, 10.0]), 5.0))
+    cov = CoveringResult(tuple(balls), 0.0, 1.0)
+    on_sphere = np.array([4.0, 5.0, 10.0])  # |x - c| is exactly 5
+    pts = np.vstack([on_sphere, rng.normal(size=(300, 3)) * 6])
+    expected = np.array([any(b.contains(p) for b in balls) for p in pts])
+    assert not expected[0] and 20 < expected.sum() < 290
+    for budget in (exceptional._BLOCK_ELEMENTS, 100):  # 100 pairs: 2 rows a block
+        monkeypatch.setattr(exceptional, "_BLOCK_ELEMENTS", budget)
+        got = cov.contains(pts)
+        assert got.dtype == bool and np.array_equal(got, expected)
+    assert cov.contains(on_sphere) is False
+    assert cov.contains(Point(pts[int(np.argmax(expected))])) is True
+    empty = CoveringResult((), 0.0, 1.0)
+    assert empty.contains(on_sphere) is False
+    assert np.array_equal(empty.contains(pts), np.zeros(len(pts), dtype=bool))
 
 
 def test_scan_csv_header():
