@@ -13,7 +13,6 @@ import numpy as np
 
 from .errors import DomainError
 
-_HALTON_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 @functools.lru_cache(maxsize=None)
 def _leggauss(npts: int):
@@ -92,15 +91,15 @@ def halton_sequence(count: int, dim: int, skip: int = 0) -> np.ndarray:
     an exhausted index only adds +0.0.  The first 12 primes are the bases,
     so dim > 12 is a DomainError.
     """
-    if dim > len(_HALTON_PRIMES) or min(count, dim, skip) < 0:
+    primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
+    if dim > len(primes) or min(count, dim, skip) < 0:
         raise DomainError(
-            f"Halton sequences take 0 <= dim <= {len(_HALTON_PRIMES)} and "
-            f"count, skip >= 0, got count={count}, dim={dim}, skip={skip}"
+            f"Halton sequences take 0 <= dim <= {len(primes)} and count, "
+            f"skip >= 0, got count={count}, dim={dim}, skip={skip}"
         )
-    index = np.arange(skip + 1, skip + count + 1, dtype=np.int64)
     out = np.empty((count, dim))
-    for j, b in enumerate(_HALTON_PRIMES[:dim]):
-        k = index.copy()
+    for j, b in enumerate(primes[:dim]):
+        k = np.arange(skip + 1, skip + count + 1, dtype=np.int64)
         f = 1.0
         r = np.zeros(count)
         while k.any():
