@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .geometry import Ball, Point, as_coords, as_rows, stable_norm
+from .geometry import Ball, Point, as_coords, as_rows, squared_norms, stable_norm
 from .measures import AtomicMeasure
 
 INFLATION = 5.0
@@ -310,7 +310,7 @@ def vitali_covering(
 
 def _ratios(values, xs, params: GrowthParams) -> np.ndarray:
     """|u| / (x_n^(1-alpha) |x|^(m+alpha)) for each row of xs."""
-    r = np.sqrt(np.sum(xs * xs, axis=-1))
+    r = np.sqrt(squared_norms(xs))
     denom = xs[:, -1] ** (1.0 - params.alpha) * r ** (params.m + params.alpha)
     return np.abs(values) / denom
 

@@ -25,6 +25,17 @@ def stable_norm(v, axis=-1):
     return out
 
 
+def squared_norms(a, what="point"):
+    """Sums of squares over the last axis, added one coordinate at a time.
+    A sum that is not finite is a DomainError, raised before numpy can
+    warn about the overflow."""
+    with np.errstate(over="ignore"):
+        s = sum(a[..., j] * a[..., j] for j in range(a.shape[-1]))
+    if not np.isfinite(s).all():
+        raise DomainError(f"{what} too large: its squared norm overflows")
+    return s
+
+
 def _frozen_coords(raw, minimum, what):
     c = np.atleast_1d(np.asarray(raw, dtype=float))
     if c.ndim != 1 or c.size < minimum:

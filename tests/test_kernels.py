@@ -532,3 +532,81 @@ def test_route_seams_match_mpmath(n):
                     for got in (float(fn(cfg, x, s)), block[i, i]):
                         err = abs((got - exact) / exact)
                         assert err <= SEAM_RTOL, (fn.__name__, m, x, s, float(err))
+
+
+# ---------------------------------------------------------------------------
+# the polar grid of the boundary quadrature
+# ---------------------------------------------------------------------------
+
+
+def _polar_point(rng, n, ax):
+    """A field point of radius ax at a height of at least 0.3 ax, with unit
+    boundary vectors e along its tangential part and perp orthogonal to it."""
+    x = rng.normal(size=n)
+    x[-1] = abs(x[-1]) + 0.6 * np.linalg.norm(x)
+    x *= ax / np.linalg.norm(x)
+    e = x[:-1] / np.linalg.norm(x[:-1])
+    perp = rng.normal(size=n - 1)
+    perp -= np.dot(perp, e) * e
+    return x, e, perp / np.linalg.norm(perp)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_polar_seams_match_mpmath(n):
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(300 + n)
+    for ax in (0.7, 1.6, 3.0):
+        x, e, perp = _polar_point(rng, n, ax)
+        for seam in (1.0, 2.0 * ax):
+            for eps in (1e-12, 1e-9, 1e-6, 1e-3):
+                for sign in (-1.0, 1.0):
+                    for gam in (0.0, math.pi / 3, math.pi):
+                        yp = seam * (1.0 + sign * eps) * (math.cos(gam) * e + math.sin(gam) * perp)
+                        with mpmath.workdps(50):
+                            # the polar coordinates of the float source, rounded once
+                            mx, my = [mpmath.mpf(v) for v in x[:-1]], [mpmath.mpf(v) for v in yp]
+                            rho = mpmath.sqrt(sum(v * v for v in my))
+                            cos_g = sum(a * b for a, b in zip(mx, my))
+                            cos_g /= rho * mpmath.sqrt(sum(v * v for v in mx))
+                            for m in range(4):
+                                cfg = KernelConfig(n, m)
+                                exact = mp_modified_poisson(mpmath, cfg, x, yp)
+                                got = modified_poisson_polar(cfg, x, float(rho), float(cos_g))
+                                err = abs((got.item() - exact) / exact)
+                                assert err <= SEAM_RTOL, (m, x, yp, float(err))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_polar_grid_matches_cartesian(n):
+    rng = np.random.default_rng(310 + n)
+    gam = np.linspace(0.0, math.pi, 9)
+    for ax in (0.7, 1.5, 3.0):
+        x, e, perp = _polar_point(rng, n, ax)
+        # off the seams, where the Cartesian radius may round across them
+        rho = np.geomspace(0.2, 8.0 * ax, 23)
+        routes = [rho <= 1, (rho > 1) & (rho < 2 * ax), rho >= 2 * ax]
+        assert all(np.any(r) for r in routes)
+        yps = rho[:, None, None] * (np.cos(gam)[:, None] * e + np.sin(gam)[:, None] * perp)
+        for m in range(4):
+            cfg = KernelConfig(n, m)
+            grid = modified_poisson_polar(cfg, x, rho, np.cos(gam))
+            assert grid.shape == (len(rho), len(gam))
+            assert grid == pytest.approx(modified_poisson_values(cfg, x, yps), rel=1e-12)
+
+
+def test_polar_grid_rows_equal_one_row_calls():
+    rng = np.random.default_rng(320)
+    cosg = np.cos(rng.uniform(0.0, math.pi, 33))
+    offset = np.empty(len(cosg) + 1)[1:]  # starts one float into its buffer
+    offset[:] = cosg
+    for n in (3, 4, 5):
+        ax = 2.5
+        x, _, _ = _polar_point(rng, n, ax)
+        rho = rng.permutation(np.append(np.geomspace(0.2, 8.0 * ax, 40), [1.0, 2.0 * ax]))
+        for m in range(4):
+            cfg = KernelConfig(n, m)
+            grid = modified_poisson_polar(cfg, x, rho, cosg)
+            assert np.array_equal(modified_poisson_polar(cfg, x, rho[:, None], cosg), grid)
+            for r in range(len(rho)):
+                assert np.array_equal(modified_poisson_polar(cfg, x, rho[r], cosg)[0], grid[r])
+                assert np.array_equal(modified_poisson_polar(cfg, x, rho[r], offset)[0], grid[r])

@@ -106,9 +106,9 @@ def test_power_growth_point_takes_at_most_four_passes(monkeypatch):
     passes = []
     real_pass = potentials._quad_pass
 
-    def counting_pass(*args):
+    def counting_pass(*args, **kwargs):
         passes.append(args[-1])
-        return real_pass(*args)
+        return real_pass(*args, **kwargs)
 
     monkeypatch.setattr(potentials, "_quad_pass", counting_pass)
     cases = [
@@ -122,6 +122,25 @@ def test_power_growth_point_takes_at_most_four_passes(monkeypatch):
         _, meta = eval_dirichlet_detailed(vf, x)
         assert meta["converged"]
         assert 3 <= len(passes) <= 4, passes
+
+
+def test_unreachable_target_is_reported_unconverged(monkeypatch):
+    # no rule order can meet a zero error target: the order-32 pass runs and
+    # the point is reported unconverged with its error estimate
+    passes = []
+    real_pass = potentials._quad_pass
+
+    def counting_pass(*args, **kwargs):
+        passes.append(args[-1])
+        return real_pass(*args, **kwargs)
+
+    monkeypatch.setattr(potentials, "_quad_pass", counting_pass)
+    monkeypatch.setattr(potentials, "_QUAD_TARGET", 0.0)
+    vf = dirichlet_field(C31, BoundaryData.power_growth(2, 0.5))
+    _, meta = eval_dirichlet_detailed(vf, [0.3, 0.2, 1.0])
+    assert meta["converged"] is False
+    assert meta["rel_err_estimate"] > potentials._QUAD_TARGET
+    assert passes[-1] == 32
 
 
 def test_gate_refusal():
