@@ -247,11 +247,21 @@ def green(cfg: KernelConfig, x, y) -> float:
     return float(green_values(cfg, cx, cy))
 
 
+def _finite_powers(base, exponent, what):
+    """base ** exponent for nonnegative bases; a power that overflows is a
+    DomainError, found by one reduction and raised before numpy can warn."""
+    with np.errstate(over="ignore"):
+        p = base**exponent
+    if not np.isfinite(np.max(p, initial=0.0)):
+        raise DomainError(f"kernel out of floating-point range: {what} overflows")
+    return p
+
+
 def _poisson_closed_form(cfg, xn, d2):
     """2 x_n / (omega_n d2^(n/2)) from d2 = |x - (y',0)|^2."""
     if np.any(d2 <= 0.0):
         raise SingularityError("Poisson kernel evaluated at its boundary source")
-    return 2.0 * xn / (cfg.omega_n * d2 ** (0.5 * cfg.n))
+    return 2.0 * xn / (cfg.omega_n * _finite_powers(d2, 0.5 * cfg.n, "|x - y|^n"))
 
 
 def poisson_values(cfg: KernelConfig, x, yps) -> np.ndarray:
@@ -407,7 +417,8 @@ def modified_poisson_polar(cfg: KernelConfig, x, rho, cos_gamma) -> np.ndarray:
     powers[(ks < m) | (ks > degree[:, None])] = 0.0
     out[tail] = amp * rho[tail, None] ** -float(n) * np.einsum("rk,kg->rg", powers, ladder)
     ks, rd = ks[:m], rho[direct, None]
-    out[direct] -= amp * np.einsum("rk,kg->rg", ax**ks / rd ** (n + ks), ladder[:m])
+    head = ax**ks / _finite_powers(rd, n + ks, "rho^(n+k)")
+    out[direct] -= amp * np.einsum("rk,kg->rg", head, ladder[:m])
     return out
 
 

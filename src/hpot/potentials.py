@@ -7,7 +7,13 @@ branch point) tensored with a rule in the polar angle; the improper radial
 integral is truncated where the kernel tail envelope times the family's own
 tail bound drops below 1e-9 of the absolute mass inside the initial radius.
 That radius is doubled until the bound holds, which takes no quadrature
-pass beyond the one that measured the mass.
+pass beyond the order-12 probe that measured the mass.
+
+The value is the order-16 pass at the final radius.  Its lower rung is the
+order-12 pass there: the probe itself when the radius did not grow, else
+one fresh order-12 pass (the first pass for finite support).  Orders 24
+and 32 run only while a rung differs from the one below by more than the
+target.
 """
 from __future__ import annotations
 
@@ -230,7 +236,7 @@ def _radial_family_quadrature(cfg, cx, data: BoundaryData):
     scale = data.radial_scale()
 
     if support is not None:
-        rmax = support
+        rmax, lower = support, None
     else:
         rmax = max(4.0, 4.0 * ax, 6.0 * scale, 8.0 * xn)
         # grow the truncation radius until the analytic tail is negligible
@@ -243,24 +249,27 @@ def _radial_family_quadrature(cfg, cx, data: BoundaryData):
         )
         # the L1 mass inside the first radius is the reference: the mass
         # only grows with rmax, so this stop test is the strictest of them
-        _, probe_l1 = _quad_pass(cfg, cx, data, radial, rmax, 12, l1=True)
+        lower = _quad_pass(cfg, cx, data, radial, rmax, 12, l1=True)
+        probe_l1 = lower[1]
         for _ in range(64):
             tail = kern_env * data.tail_integral_bound(rmax, float(-cfg.m - 2))
             if tail <= 1e-9 * max(probe_l1, 1e-300):
                 break
             rmax *= 2.0
+            lower = None
 
-    v16 = _quad_pass(cfg, cx, data, radial, rmax, 16)
-    v24, l24 = _quad_pass(cfg, cx, data, radial, rmax, 24, l1=True)
-    err = abs(v24 - v16)
-    scale_ref = max(abs(v24), l24 * 1e-3, 1e-300)
-    converged = err <= _QUAD_TARGET * scale_ref
-    if not converged:
-        v32 = _quad_pass(cfg, cx, data, radial, rmax, 32)
-        err = abs(v32 - v24)
-        converged = err <= _QUAD_TARGET * max(abs(v32), l24 * 1e-3, 1e-300)
-        v24 = v32
-    return v24, {"rel_err_estimate": err / scale_ref, "converged": bool(converged)}
+    # the order-12 pass at the final radius is the lower rung: the probe
+    # itself when the radius did not grow; each higher order is checked
+    # against the rung below and the ladder stops at the first that passes
+    value, l1 = lower or _quad_pass(cfg, cx, data, radial, rmax, 12, l1=True)
+    for order in (16, 24, 32):
+        below, value = value, _quad_pass(cfg, cx, data, radial, rmax, order)
+        err = abs(value - below)
+        scale_ref = max(abs(value), l1 * 1e-3, 1e-300)
+        converged = err <= _QUAD_TARGET * scale_ref
+        if converged:
+            break
+    return value, {"rel_err_estimate": err / scale_ref, "converged": bool(converged)}
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,8 @@ from hpot.errors import DomainError, InfeasibleError, SchemaError
 from hpot.kernels import KernelConfig
 
 CFG3 = KernelConfig(3)
+# the module itself: the package exports a function of the same name
+capacity_module = importlib.import_module("hpot.capacity")
 
 
 def test_single_constraint_closed_form():
@@ -61,6 +65,55 @@ def test_dual_certificate_closes_the_gap():
         assert np.all(y >= -1e-12)
         assert np.all(A.T @ y <= c + 1e-9 * (1 + np.abs(c)))
         assert float(y.sum()) == pytest.approx(sol.value, rel=1e-9)
+
+
+def _row_by_row(T, r, j, scratch):
+    # the elimination as a loop over the rows, skipping zeros in column j
+    for i in range(len(T)):
+        if i != r and T[i, j] != 0.0:
+            T[i] -= T[i, j] * T[r]
+
+
+def _klee_minty_lp(d):
+    """A d x d LP whose dual max 1.y s.t. A^T y <= c is the cube
+    y_i + 2 sum_{j<i} 2^(i-j) y_j <= 5^i, scaled by 1e-30: Dantzig's rule
+    walks many of its vertices, each pivot gains less than the stall
+    threshold, and the simplex switches to Bland's rule."""
+    i, j = np.indices((d, d))
+    M = np.where(j < i, 2.0 * 2.0 ** (i - j), 0.0) + np.eye(d)
+    return LPInstance(c=5.0 ** np.arange(d) * 1e-30, A=M.T.copy())
+
+
+def test_blocked_elimination_matches_row_by_row(monkeypatch):
+    rng = np.random.default_rng(42)
+    lps = [_klee_minty_lp(5), _klee_minty_lp(7)]
+    for m, k in [(3, 4), (12, 9), (30, 70), (64, 256)]:
+        A = rng.uniform(0, 2, (m, k))
+        A[A < 0.6] = 0.0  # zeros in the pivot column: rows the loop skips
+        A[np.arange(m), rng.integers(0, k, m)] = 1.0
+        lps.append(LPInstance(c=rng.uniform(0, 3, k), A=A))
+    blocked = [lp_solve(lp) for lp in lps]
+    monkeypatch.setattr(capacity_module, "_eliminate", _row_by_row)
+    for lp, got in zip(lps, blocked):
+        want = lp_solve(lp)
+        assert got.value == want.value
+        assert got.g.tobytes() == want.g.tobytes()
+        assert got.dual.tobytes() == want.dual.tobytes()
+
+
+def test_klee_minty_lp_reaches_blands_rule(monkeypatch):
+    # Bland's rule is the only caller of min() in lp_solve
+    bland_pivots = []
+
+    def recording_min(*args, **kwargs):
+        bland_pivots.append(args)
+        return min(*args, **kwargs)
+
+    monkeypatch.setattr(capacity_module, "min", recording_min, raising=False)
+    lp = _klee_minty_lp(5)
+    sol = lp_solve(lp)
+    assert bland_pivots
+    assert sol.value == pytest.approx(enumerate_vertices_value(lp), rel=1e-9)
 
 
 def test_infeasible_zero_row():

@@ -376,6 +376,30 @@ def test_overflowing_squared_norm_is_domain_error(tmp_path, capsys, data, comman
     assert json.loads(err)["code"] == "domain"
 
 
+@pytest.mark.parametrize("data", [ATOMS, FAMILY], ids=["atoms", "family"])
+@pytest.mark.parametrize("command", ["growth", "potential"])
+def test_overflowing_kernel_power_is_domain_error(tmp_path, capsys, data, command):
+    # |x|^2 is finite, but |x - y|^n is not: one domain error, and no numpy
+    # overflow warning
+    path = tmp_path / "data.json"
+    path.write_text(json.dumps(data))
+    if command == "growth":
+        argv = ["growth", "--rays", "1", "--alpha", "0.5", "--radii", "1:1e120:3"]
+    else:
+        points = tmp_path / "p.csv"
+        points.write_text("x_1,x_2,x_3\n1e110,0,1e110\n")
+        argv = ["potential", "--kind", "dirichlet", "--points", str(points)]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(capsys, *argv, "--data", str(path), "--n", "3", "--m", "1")
+    assert code == 2 and out == "" and caught == []
+    assert err.count("\n") == 1
+    assert json.loads(err) == {
+        "code": "domain",
+        "message": "kernel out of floating-point range: |x - y|^n overflows",
+    }
+
+
 def test_halton_dimension_above_twelve_is_domain_error(tmp_path, capsys):
     spec = tmp_path / "set.json"
     spec.write_text(json.dumps({"shape": "all"}))

@@ -610,3 +610,21 @@ def test_polar_grid_rows_equal_one_row_calls():
             for r in range(len(rho)):
                 assert np.array_equal(modified_poisson_polar(cfg, x, rho[r], cosg)[0], grid[r])
                 assert np.array_equal(modified_poisson_polar(cfg, x, rho[r], offset)[0], grid[r])
+
+
+def test_overflowing_kernel_powers_are_domain_errors():
+    # every squared norm is finite, but a power of the kernel is not: one
+    # domain error, raised before numpy warns
+    cfg = KernelConfig(3, 3)
+    far, x = np.array([1e110, 0.0, 1e110]), np.array([1e100, 0.0, 1e100])
+    with np.errstate(over="raise", invalid="raise"):
+        # |x - y|^3 with |x - y|^2 = 2e220
+        with pytest.raises(DomainError, match=r"\|x - y\|\^n"):
+            modified_poisson_values(cfg, far, [0.0, 0.0])
+        with pytest.raises(DomainError, match=r"\|x - y\|\^n"):
+            modified_poisson_polar(cfg, far, 0.5, 1.0)
+        # a direct-route source radius: rho^(n+m-1) = rho^5 overflows while
+        # |x - y|^3 stays finite
+        with pytest.raises(DomainError, match=r"rho\^\(n\+k\)"):
+            modified_poisson_polar(cfg, x, 1.5e100, 1.0)
+        assert np.isfinite(modified_poisson_polar(cfg, x, [0.5, 3e100], 1.0)).all()

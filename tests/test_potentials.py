@@ -101,8 +101,9 @@ def test_unit_poisson_integral():
 
 
 def test_power_growth_point_takes_at_most_four_passes(monkeypatch):
-    # the truncation radius grows from one probe pass; the order-16 and
-    # order-24 passes (and an order-32 one if needed) give the value
+    # the truncation radius grows from one probe pass; an order-12 pass at
+    # the final radius checks the order-16 value (orders 24 and 32 follow
+    # only if that check fails)
     passes = []
     real_pass = potentials._quad_pass
 
@@ -141,6 +142,61 @@ def test_unreachable_target_is_reported_unconverged(monkeypatch):
     assert meta["converged"] is False
     assert meta["rel_err_estimate"] > potentials._QUAD_TARGET
     assert passes[-1] == 32
+
+
+@pytest.fixture
+def quad_passes(monkeypatch):
+    """(order, rmax) of each quadrature pass, in the order they run."""
+    log = []
+    real_pass = potentials._quad_pass
+
+    def recording_pass(*args, **kwargs):
+        log.append((args[-1], args[-2]))
+        return real_pass(*args, **kwargs)
+
+    monkeypatch.setattr(potentials, "_quad_pass", recording_pass)
+    return log
+
+
+@pytest.mark.parametrize(
+    "data, orders",
+    [
+        (BoundaryData.gaussian_bump(2, 1.0, 1.0), [12, 16]),
+        (BoundaryData.indicator_ball(2, 2.0), [12, 16]),
+        (BoundaryData.power_growth(2, 0.5), [12, 12, 16]),
+    ],
+    ids=["gaussian_bump", "indicator_ball", "power_growth"],
+)
+def test_pass_orders(quad_passes, data, orders):
+    # the order-12 pass at the final radius is the lower rung of the
+    # order-16 value: the probe itself unless the radius grew
+    _, meta = eval_dirichlet_detailed(dirichlet_field(C31, data), [0.3, 0.2, 1.0])
+    assert meta["converged"]
+    assert [order for order, _ in quad_passes] == orders
+    assert quad_passes[-2][1] == quad_passes[-1][1]
+    if len(orders) == 3:
+        assert quad_passes[0][1] < quad_passes[1][1]
+
+
+@pytest.mark.parametrize(
+    "cfg, data",
+    [
+        (C31, BoundaryData.power_growth(2, 0.5)),
+        (KernelConfig(4, 2), BoundaryData.power_growth(3, 1.5)),
+        (C31, BoundaryData.gaussian_bump(2, 1.0, 1.0)),
+        (KernelConfig(3, 2), BoundaryData.indicator_ball(2, 2.0)),
+    ],
+    ids=["power_growth_0.5", "power_growth_1.5", "gaussian_bump", "indicator_ball"],
+)
+def test_order_16_value_matches_order_32(quad_passes, cfg, data):
+    for x in ([2.0, 0.01], [2.0, 0.1], [30.0, 1.0], [0.3, 1.0], [1.0, 1.0]):
+        cx = np.array([x[0]] + [0.0] * (cfg.n - 2) + [x[1]])
+        quad_passes.clear()
+        value, meta = eval_dirichlet_detailed(dirichlet_field(cfg, data), cx)
+        order, rmax = quad_passes[-1]
+        assert meta["converged"] and order == 16
+        v32, l1 = potentials._quad_pass(cfg, cx, data, data.radial(), rmax, 32, l1=True)
+        assert abs(value - v32) <= 1e-12 * max(abs(v32), 1e-3 * l1, 1e-300), x
 
 
 def test_gate_refusal():
