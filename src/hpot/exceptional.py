@@ -311,7 +311,12 @@ def vitali_covering(
 def _ratios(values, xs, params: GrowthParams) -> np.ndarray:
     """|u| / (x_n^(1-alpha) |x|^(m+alpha)) for each row of xs."""
     r = np.sqrt(squared_norms(xs))
-    denom = xs[:, -1] ** (1.0 - params.alpha) * r ** (params.m + params.alpha)
+    with np.errstate(over="ignore"):
+        denom = xs[:, -1] ** (1.0 - params.alpha) * r ** (params.m + params.alpha)
+    if not np.isfinite(denom).all():
+        raise DomainError(
+            "growth ratio out of floating-point range: x_n^(1-alpha) |x|^(m+alpha) overflows"
+        )
     return np.abs(values) / denom
 
 

@@ -118,7 +118,9 @@ def gegenbauer_tail_sum(lam, t, q, k_start, cap=_SERIES_CAP):
     q is sorted once by descending value (also when it broadcasts against
     leading axes of t, such as the pair t, t* of the Green function), so the
     elements still active at a degree form a prefix that shrinks as the
-    degree grows; the recurrence updates that prefix in place.
+    degree grows; the recurrence updates that prefix in place.  The rows of
+    those leading axes are interleaved in one flat buffer (element j of row
+    r at j*rows + r), so a prefix is one contiguous slice.
     """
     t = np.asarray(t, dtype=float)
     q = np.asarray(q, dtype=float)
@@ -137,20 +139,23 @@ def gegenbauer_tail_sum(lam, t, q, k_start, cap=_SERIES_CAP):
     last = k_start + len(counts)
 
     rows = math.prod(lead)
-    tq = np.broadcast_to(t, shape).reshape(rows, size)[:, order]
-    tq *= qs
-    q2 = np.multiply(qs, qs, out=qs)  # qs is not needed any more
-    total = np.full((rows, size), 0.0 if k_start else 1.0)
-    work = np.empty((rows, size))
-    # d_{k-2}, d_{k-1} and the other arrays, cut to the active prefix p
-    p, older, newer = size, np.ones((rows, size)), 2.0 * lam * tq
+    tq = np.broadcast_to(t, shape).reshape(rows, size).T[order].ravel()
+    q2 = np.repeat(qs, rows)
+    tq *= q2
+    q2 *= q2
+    total = np.full(tq.size, 0.0 if k_start else 1.0)
+    work = np.empty(tq.size)
+    # d_{k-2}, d_{k-1} and the other arrays, cut to the active prefix of p
+    # elements (p * rows entries)
+    p, older, newer = size, np.ones(tq.size), 2.0 * lam * tq
     tq_p, q2_p, total_p, work_p = tq, q2, total, work
     mul = np.multiply
     for k in range(1, last + 1):
         if k > k_start and counts[k - k_start - 1] != p:
             p = counts[k - k_start - 1]
-            tq_p, q2_p, total_p, work_p = tq[:, :p], q2[:p], total[:, :p], work[:, :p]
-            older, newer = older[:, :p], newer[:, :p]
+            e = p * rows
+            tq_p, q2_p, total_p, work_p = tq[:e], q2[:e], total[:e], work[:e]
+            older, newer = older[:e], newer[:e]
         # ufunc calls with out=: cheaper per call than in-place operators
         if k >= 2:
             mul(older, q2_p, out=older)
@@ -161,8 +166,9 @@ def gegenbauer_tail_sum(lam, t, q, k_start, cap=_SERIES_CAP):
             older, newer = newer, older
         if k >= k_start:
             np.add(total_p, newer, out=total_p)
-    work[:, order] = total
-    return work.reshape(shape)
+    out = work.reshape(rows, size)
+    out[:, order] = total.reshape(size, rows).T
+    return out.reshape(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +306,8 @@ def _modify(plain, lam, ax, ay, t, order, power, amp):
     when the kernel is the difference of the two expansions.  ax, ay, amp
     and each row of t broadcast to plain's shape.  Sources with |y| >= 2|x|
     take the tail series amp |y|^-power sum_{k >= order} C_k(t) q^k; the
-    others subtract the finite head from the closed form."""
+    others subtract the finite head from the closed form, where a power
+    |x|^k or |y|^(power+k) that overflows is a DomainError."""
     if order == 0:
         return plain
     shape = plain.shape
@@ -322,7 +329,8 @@ def _modify(plain, lam, ax, ay, t, order, power, amp):
         ladder = ladder[:, 0] - ladder[:, 1] if pair else ladder[:, 0]
         head = np.zeros(axd.shape)
         for k in range(first, order):
-            head += axd**k * ladder[k] / ayd ** (power + float(k))
+            xk = _finite_powers(axd, k, "|x|^k")
+            head += xk * ladder[k] / _finite_powers(ayd, power + float(k), "|y|^(p+k)")
         out[direct] -= amp[direct] * head
     return out.reshape(shape)
 

@@ -139,11 +139,15 @@ class BoundaryData:
                 raise DomainError(f"unknown boundary family {fid!r}")
             for key in _FAMILY_PARAMS[fid]:
                 v = params.get(key)
-                if not (
-                    isinstance(v, (int, float))
-                    and not isinstance(v, bool)
-                    and math.isfinite(v)
-                ):
+                try:
+                    finite = (
+                        isinstance(v, (int, float))
+                        and not isinstance(v, bool)
+                        and math.isfinite(v)
+                    )
+                except OverflowError:  # an int beyond the float range
+                    finite = False
+                if not finite:
                     raise DomainError(f"{fid} needs a finite number {key}, got {v!r}")
             if fid == "gaussian_bump" and not params.get("sigma", 0) > 0:
                 raise DomainError("gaussian_bump needs sigma > 0")
@@ -293,12 +297,20 @@ def _expect_int(obj, key, prefix=""):
     return v
 
 
-def _expect_number(obj, key, prefix=""):
-    path = f"{prefix}.{key}" if prefix else key
-    v = obj.get(key) if isinstance(obj, dict) else None
+def _as_float(v, path):
+    """A JSON number as a float; a bool, a non-number, or an integer
+    beyond the float range is a SchemaError at ``path``."""
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise SchemaError("expected a number", path)
-    return float(v)
+    try:
+        return float(v)
+    except OverflowError:
+        raise SchemaError("number out of floating-point range", path) from None
+
+
+def _expect_number(obj, key, prefix=""):
+    path = f"{prefix}.{key}" if prefix else key
+    return _as_float(obj.get(key) if isinstance(obj, dict) else None, path)
 
 
 def _expect_str(obj, key, prefix=""):
@@ -325,7 +337,10 @@ def _expect_vector(obj, key, length, prefix=""):
     for j, entry in enumerate(v):
         if isinstance(entry, bool) or not isinstance(entry, (int, float)):
             raise SchemaError("expected a number", f"{path}[{j}]")
-    return [float(e) for e in v]
+    try:
+        return [float(e) for e in v]
+    except OverflowError:
+        return [_as_float(e, f"{path}[{j}]") for j, e in enumerate(v)]
 
 
 # ---------------------------------------------------------------------------
@@ -375,8 +390,10 @@ def check_boundary_condition(data: BoundaryData, cfg: KernelConfig) -> Condition
             f"boundary data dimension {data.dimension} does not match n-1={cfg.n - 1}"
         )
     if data.kind == "atoms":
-        r = np.sqrt(np.sum(data.points**2, axis=-1))
-        value = float(np.sum(np.abs(data.weights) / (1.0 + r ** (cfg.n + cfg.m))))
+        # a power past the float range is inf, and 1/(1 + inf) = 0 its limit
+        with np.errstate(over="ignore"):
+            r = np.sqrt(np.sum(data.points**2, axis=-1))
+            value = float(np.sum(np.abs(data.weights) / (1.0 + r ** (cfg.n + cfg.m))))
         return ConditionReport(value, BOUNDARY_CONDITION, True)
     if data.family_id == "power_growth" and data.params["s"] >= cfg.m + 1:
         return ConditionReport(math.inf, BOUNDARY_CONDITION, False)
@@ -394,8 +411,9 @@ def check_measure_condition(mu: AtomicMeasure, cfg: KernelConfig) -> ConditionRe
         raise DomainError("measure atoms must lie in the closed half-space")
     if len(mu) == 0:
         return ConditionReport(0.0, MEASURE_CONDITION, True)
-    r = np.sqrt(np.sum(mu.points**2, axis=-1))
-    value = float(
-        np.sum(mu.masses * mu.points[:, -1] / (1.0 + r ** (cfg.n + cfg.m)))
-    )
+    with np.errstate(over="ignore"):  # as in check_boundary_condition
+        r = np.sqrt(np.sum(mu.points**2, axis=-1))
+        value = float(
+            np.sum(mu.masses * mu.points[:, -1] / (1.0 + r ** (cfg.n + cfg.m)))
+        )
     return ConditionReport(value, MEASURE_CONDITION, True)

@@ -14,11 +14,19 @@ order-12 pass there: the probe itself when the radius did not grow, else
 one fresh order-12 pass (the first pass for finite support).  Orders 24
 and 32 run only while a rung differs from the one below by more than the
 target.
+
+A block of points large enough to pay for a fork is cut into contiguous
+slices, one per core of the process's affinity, each computed by a process
+pinned to its core.  Slices hold whole kernel blocks (atom sums) or whole
+points (families), so the values, and the first error in row order, are
+those of a one-process run.
 """
 from __future__ import annotations
 
 import math
 import os
+import pickle
+import warnings
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -46,6 +54,14 @@ _NEAR_BOUNDARY = 1e-6
 # cost of the tail series; on the superposition benchmark 2^16 ran no faster
 # and raised the peak resident set from 44 to 52 MB
 _BLOCK_ELEMENTS = 2**14
+# Least work, in point-source pairs, for each process of a forked block
+# evaluation.  On 2 cores a fork of the benchmark's blocks paid from about
+# 60k pairs of Green or Poisson sums (15 ms in one process) and gained a
+# quarter at 120k; a family point counts as 2^13 pairs, the cost of a
+# median point of the Dirichlet benchmark (0.9 to 5 ms by family).
+_FORK_MIN_WORK = 2**16
+_QUAD_POINT_WORK = 2**13
+_in_child = False  # set in a forked child, which never forks again
 
 
 @dataclass(frozen=True)
@@ -89,16 +105,149 @@ def green_field(cfg: KernelConfig, mu: AtomicMeasure) -> PotentialField:
 # ---------------------------------------------------------------------------
 
 
+def _usable_cores():
+    """The cores this process may run on, sorted; none in a forked child
+    and where the platform has no fork or does not report the affinity."""
+    if _in_child or not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return []
+    return sorted(os.sched_getaffinity(0))
+
+
+def _pin(cores):
+    """Run the calling thread on ``cores`` only, where the system allows it.
+    Each process of a forked evaluation is pinned to a core of its own:
+    left to the scheduler, a child was seen to share its parent's core for
+    the whole evaluation while the other core stayed idle."""
+    try:
+        os.sched_setaffinity(0, cores)
+    except OSError:
+        pass
+
+
+def _send_slice(fn, rows, wfd, core):
+    """Body of a forked child: pickle (True, fn(rows)) or (False, the
+    exception) into the pipe and leave through os._exit, so nothing of the
+    parent's (buffers, exit handlers) runs twice."""
+    global _in_child
+    _in_child = True
+    try:
+        _pin({core})
+        try:
+            msg = (True, fn(rows))
+        except BaseException as exc:  # re-raised by the parent
+            msg = (False, exc)
+        with os.fdopen(wfd, "wb") as fh:
+            fh.write(pickle.dumps(msg, pickle.HIGHEST_PROTOCOL))
+    finally:
+        os._exit(0)
+
+
+def _fork_slice(fn, rows, core):
+    """(pid, read end) of a forked child computing fn(rows) on ``core``, or
+    None when no pipe or no process could be had."""
+    try:
+        rfd, wfd = os.pipe()
+    except OSError:
+        return None
+    try:
+        with warnings.catch_warnings():
+            # Python 3.12+ warns of a fork while threads (here the BLAS pool)
+            # run; the child only evaluates its slice and leaves by os._exit
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
+    except OSError:
+        os.close(rfd)
+        os.close(wfd)
+        return None
+    if pid == 0:
+        os.close(rfd)
+        _send_slice(fn, rows, wfd, core)  # does not return
+    os.close(wfd)
+    return pid, rfd
+
+
+def _receive_slice(pid, rfd):
+    """The message of one child, or None when it sent none (it died, or its
+    result did not pickle); the child is reaped either way."""
+    try:
+        with os.fdopen(rfd, "rb") as fh:
+            data = fh.read()
+    finally:
+        os.waitpid(pid, 0)
+    try:
+        return pickle.loads(data) if data else None
+    except (pickle.UnpicklingError, EOFError):  # cut short by the child's death
+        return None
+
+
+def _forked_rows(fn, pts, step, work):
+    """fn(pts) for a function whose (P,) result is computed row by row, with
+    the rows spread over the usable cores.
+
+    pts is cut into W contiguous slices at multiples of ``step`` rows, W =
+    min(usable cores, blocks of ``step`` rows, work // _FORK_MIN_WORK).
+    This process computes the first slice; each other slice runs in a
+    forked child that returns its result, or the exception it raised,
+    through a pipe.  A slice whose child sent nothing (or could not be
+    forked) is computed here.  Each slice is then evaluated as in the one
+    call fn(pts), block for block when ``step`` is fn's block size, so the
+    values are the same bytes, and the first error in row order is the one
+    that call raises.  Every child is reaped, and this process's affinity
+    restored, before this returns or raises.
+    """
+    cores = _usable_cores()
+    blocks = -(-len(pts) // step)
+    w = min(len(cores), blocks, work // _FORK_MIN_WORK)
+    if w < 2:
+        return fn(pts)
+    size = -(-blocks // w) * step
+    slices = [pts[lo : lo + size] for lo in range(0, len(pts), size)]
+    children = []  # (pid, read end) per slice after the first, or None
+    try:
+        for core, rows in zip(cores[1:], slices[1:]):
+            children.append(_fork_slice(fn, rows, core))
+        _pin({cores[0]})
+        parts = [fn(slices[0])]
+        for i, child in enumerate(children):
+            msg = None
+            if child is not None:
+                children[i] = None
+                msg = _receive_slice(*child)
+            if msg is None:
+                msg = (True, fn(slices[i + 1]))
+            if not msg[0]:
+                raise msg[1]
+            parts.append(msg[1])
+    finally:
+        _pin(set(cores))
+        # after an error, the children still running hold only later rows
+        left = [child for child in children if child is not None]
+        if left:
+            import signal  # only on this path: it is not imported at start-up
+
+            for pid, rfd in left:
+                os.kill(pid, signal.SIGKILL)
+                os.close(rfd)
+                os.waitpid(pid, 0)
+    return np.concatenate(parts)
+
+
 def _atom_sum(cfg, x, kernel_values, sources, weights):
     """sum_j w_j K(x, s_j) for one point (a float) or for each row of a
     (P, n) array, evaluated in row blocks of at most _BLOCK_ELEMENTS
-    point-source pairs."""
+    point-source pairs; a large array is spread over the usable cores."""
     pts, single = _eval_points(cfg, x)
-    out = np.zeros(len(pts))
-    if len(weights):
-        rows = max(1, _BLOCK_ELEMENTS // len(weights))
-        for i in range(0, len(pts), rows):
-            out[i : i + rows] = kernel_values(cfg, pts[i : i + rows], sources) @ weights
+    if not len(weights):
+        return 0.0 if single else np.zeros(len(pts))
+    step = max(1, _BLOCK_ELEMENTS // len(weights))
+
+    def block_sums(rows):
+        out = np.empty(len(rows))
+        for i in range(0, len(rows), step):
+            out[i : i + step] = kernel_values(cfg, rows[i : i + step], sources) @ weights
+        return out
+
+    out = _forked_rows(block_sums, pts, step, len(pts) * len(weights))
     return float(out[0]) if single else out
 
 
@@ -130,7 +279,11 @@ def eval_dirichlet(fieldobj: PotentialField, x):
     if np.ndim(x) < 2:
         return eval_dirichlet_detailed(fieldobj, x)[0]
     pts, _ = _eval_points(fieldobj.cfg, x)
-    return batch_evaluate(lambda p: eval_dirichlet_detailed(fieldobj, p)[0], pts)
+
+    def point_values(rows):
+        return batch_evaluate(lambda p: eval_dirichlet_detailed(fieldobj, p)[0], rows)
+
+    return _forked_rows(point_values, pts, 1, len(pts) * _QUAD_POINT_WORK)
 
 
 def eval_dirichlet_detailed(fieldobj: PotentialField, x):
@@ -223,9 +376,14 @@ def _quad_pass(cfg, cx, data, radial, rmax, order, *, l1=False):
     )
     # rho as an (R, 1) column: perfbench's route counter broadcasts it to the grid
     kern = modified_poisson_polar(cfg, cx, rho[:, None], cosg)
-    radial_weight = wr * radial(rho) * rho ** (cfg.n - 2)
-    value = float(radial_weight @ kern @ wg)
-    return (value, float(np.abs(radial_weight) @ np.abs(kern) @ wg)) if l1 else value
+    # an overflow anywhere leaves a sum that is not finite, refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        radial_weight = wr * radial(rho) * rho ** (cfg.n - 2)
+        value = float(radial_weight @ kern @ wg)
+        mass = float(np.abs(radial_weight) @ np.abs(kern) @ wg) if l1 else 0.0
+    if not (math.isfinite(value) and math.isfinite(mass)):
+        raise DomainError("quadrature out of floating-point range: the weighted sum overflows")
+    return (value, mass) if l1 else value
 
 
 def _radial_family_quadrature(cfg, cx, data: BoundaryData):
@@ -240,12 +398,12 @@ def _radial_family_quadrature(cfg, cx, data: BoundaryData):
     else:
         rmax = max(4.0, 4.0 * ax, 6.0 * scale, 8.0 * xn)
         # grow the truncation radius until the analytic tail is negligible
+        try:
+            ax_m = ax**cfg.m
+        except OverflowError:
+            raise DomainError("kernel out of floating-point range: |x|^m overflows") from None
         kern_env = (
-            unit_sphere_area(cfg.n - 1)
-            * 2.0 ** (cfg.m + cfg.n + 1)
-            * xn
-            * ax**cfg.m
-            / cfg.omega_n
+            unit_sphere_area(cfg.n - 1) * 2.0 ** (cfg.m + cfg.n + 1) * xn * ax_m / cfg.omega_n
         )
         # the L1 mass inside the first radius is the reference: the mass
         # only grows with rmax, so this stop test is the strictest of them
@@ -278,8 +436,11 @@ def _radial_family_quadrature(cfg, cx, data: BoundaryData):
 
 
 def check_thread_env():
-    """HPOT_THREADS, when set, must be a positive integer.  Evaluation runs
-    in one thread whatever its value, so output never depends on it."""
+    """HPOT_THREADS, when set, must be a positive integer; its value changes
+    nothing.  A large block is spread over the cores of this process's
+    affinity (os.sched_getaffinity), one forked process each, and gives the
+    bytes of a one-process run; an affinity of one core (taskset, or
+    os.sched_setaffinity) is the one-process run."""
     raw = os.environ.get("HPOT_THREADS")
     if raw is None:
         return

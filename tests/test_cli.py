@@ -400,6 +400,75 @@ def test_overflowing_kernel_power_is_domain_error(tmp_path, capsys, data, comman
     }
 
 
+def _power_growth(s):
+    return {"dimension": 2, "kind": "family", "family": {"id": "power_growth", "params": {"s": s}}}
+
+
+@pytest.mark.parametrize(
+    "data, m, radii, message",
+    [
+        (_power_growth(0.5), 6, "1:1e70:3", "kernel out of floating-point range: |x|^m overflows"),
+        (_power_growth(3.5), 3, "1:1e60:3",
+         "quadrature out of floating-point range: the weighted sum overflows"),
+        (ATOMS, 6, "1:1e90:3",
+         "growth ratio out of floating-point range: x_n^(1-alpha) |x|^(m+alpha) overflows"),
+    ],
+    ids=["tail_envelope", "radial_weight", "ratio_denominator"],
+)
+def test_growth_overflow_is_one_domain_error(tmp_path, capsys, data, m, radii, message):
+    # every point's squared norm is finite, but a power on the way to the
+    # ratio is not: one error object and no numpy warning or traceback
+    path = tmp_path / "data.json"
+    path.write_text(json.dumps(data))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(
+            capsys, "growth", "--data", str(path), "--n", "3", "--m", str(m),
+            "--alpha", "0.5", "--rays", "1", "--radii", radii,
+        )
+    assert code == 2 and out == "" and caught == []
+    assert json.loads(err) == {"code": "domain", "message": message}
+
+
+def test_cartesian_head_overflow_is_domain_error(tmp_path, capsys):
+    # direct route (1 < |y'| < 2|x|) with |y'|^(n+1) past the float range
+    data = tmp_path / "atoms.json"
+    data.write_text(json.dumps(
+        {"dimension": 2, "kind": "atoms", "atoms": [{"point": [1.2e100, 0.0], "mass": 1.0}]}
+    ))
+    points = tmp_path / "p.csv"
+    points.write_text("x_1,x_2,x_3\n1e100,0,1e100\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(
+            capsys, "potential", "--kind", "dirichlet", "--data", str(data),
+            "--points", str(points), "--n", "3", "--m", "2",
+        )
+    assert code == 2 and out == "" and caught == []
+    assert json.loads(err) == {
+        "code": "domain",
+        "message": "kernel out of floating-point range: |y|^(p+k) overflows",
+    }
+
+
+@pytest.mark.parametrize("where, path", [("point", "atoms[0].point[2]"), ("mass", "atoms[0].mass")])
+def test_out_of_range_json_integer_is_schema_error(tmp_path, capsys, where, path):
+    atom = {"point": [0, 0, 1], "mass": 1}
+    atom[where] = [0, 0, 10**400] if where == "point" else 10**400
+    mu = tmp_path / "mu.json"
+    mu.write_text(json.dumps({"dimension": 3, "atoms": [atom]}))
+    points = tmp_path / "p.csv"
+    points.write_text("x_1,x_2,x_3\n0,0,1\n")
+    code, out, err = run_cli(
+        capsys, "potential", "--kind", "green", "--measure", str(mu), "--n", "3",
+        "--points", str(points),
+    )
+    assert code == 65 and out == ""
+    assert json.loads(err) == {
+        "code": "schema", "message": f"{path}: number out of floating-point range",
+    }
+
+
 def test_halton_dimension_above_twelve_is_domain_error(tmp_path, capsys):
     spec = tmp_path / "set.json"
     spec.write_text(json.dumps({"shape": "all"}))

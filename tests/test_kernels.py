@@ -383,6 +383,69 @@ def test_tail_sum_matches_mpmath():
                 assert abs(g - ref) <= 1e-14 * scale, (lam, k_start, ti, qi)
 
 
+def _reference_tail_sum(lam, t, q, k_start, cap=400):
+    """gegenbauer_tail_sum as it was with one 2-D row per leading index of
+    t, kept as the reference for the interleaved layout."""
+    from hpot.kernels import _tail_thresholds
+
+    t = np.asarray(t, dtype=float)
+    q = np.asarray(q, dtype=float)
+    shape = np.broadcast_shapes(t.shape, q.shape)
+    while q.ndim and q.shape[0] == 1:
+        q = q[0]
+    lead = shape[: len(shape) - q.ndim]
+    q_all = np.broadcast_to(q, shape[len(lead):]).ravel()
+    order = np.argsort(q_all)[::-1]
+    qs = q_all[order]
+    size = qs.size
+    counts = size - np.searchsorted(qs[::-1], _tail_thresholds(lam, k_start, cap))
+    counts = counts[: np.count_nonzero(counts)].tolist()
+    last = k_start + len(counts)
+    rows = math.prod(lead)
+    tq = np.broadcast_to(t, shape).reshape(rows, size)[:, order]
+    tq *= qs
+    q2 = np.multiply(qs, qs, out=qs)
+    total = np.full((rows, size), 0.0 if k_start else 1.0)
+    work = np.empty((rows, size))
+    p, older, newer = size, np.ones((rows, size)), 2.0 * lam * tq
+    tq_p, q2_p, total_p, work_p = tq, q2, total, work
+    mul = np.multiply
+    for k in range(1, last + 1):
+        if k > k_start and counts[k - k_start - 1] != p:
+            p = counts[k - k_start - 1]
+            tq_p, q2_p, total_p, work_p = tq[:, :p], q2[:p], total[:, :p], work[:, :p]
+            older, newer = older[:, :p], newer[:, :p]
+        if k >= 2:
+            mul(older, q2_p, out=older)
+            mul(older, -(k + 2.0 * lam - 2.0) / k, out=older)
+            mul(tq_p, newer, out=work_p)
+            mul(work_p, 2.0 * (k + lam - 1.0) / k, out=work_p)
+            np.add(older, work_p, out=older)
+            older, newer = newer, older
+        if k >= k_start:
+            np.add(total_p, newer, out=total_p)
+    work[:, order] = total
+    return work.reshape(shape)
+
+
+def test_tail_sum_interleaved_rows_match_reference():
+    # one and two rows (the pair t, t* of the Green function), q = 0 and a
+    # scalar call: the same bits as the row-per-index layout
+    rng = np.random.default_rng(31)
+    for case in range(300):
+        lam, k_start = rng.uniform(0.5, 3.0), int(rng.integers(0, 6))
+        size = int(rng.integers(0, 30))
+        q = rng.uniform(0.0, 0.5, size)
+        q[rng.random(size) < 0.2] = 0.0
+        t = rng.uniform(-1.0, 1.0, (2, size) if case % 2 else size)
+        got = gegenbauer_tail_sum(lam, t, q, k_start)
+        ref = _reference_tail_sum(lam, t, q, k_start)
+        assert got.shape == ref.shape and np.array_equal(got, ref), (lam, k_start)
+    for args in ((1.5, 0.3, 0.2, 1), (2.5, -0.4, 0.0, 0), (1.0, [[0.1], [0.2]], [0.3, 0.0], 2)):
+        got, ref = gegenbauer_tail_sum(*args), _reference_tail_sum(*args)
+        assert got.shape == ref.shape and np.array_equal(got, ref)
+
+
 def test_tail_sum_shapes_and_elementwise_truncation():
     empty = gegenbauer_tail_sum(1.5, np.zeros(0), np.zeros(0), 1)
     assert empty.shape == (0,)
@@ -628,3 +691,9 @@ def test_overflowing_kernel_powers_are_domain_errors():
         with pytest.raises(DomainError, match=r"rho\^\(n\+k\)"):
             modified_poisson_polar(cfg, x, 1.5e100, 1.0)
         assert np.isfinite(modified_poisson_polar(cfg, x, [0.5, 3e100], 1.0)).all()
+        # the Cartesian direct head: |y'|^(n+k) overflows for k = 1 while
+        # |x - y|^3 stays finite
+        with pytest.raises(DomainError, match=r"\|y\|\^\(p\+k\)"):
+            modified_poisson_values(KernelConfig(3, 2), x, [1.2e100, 0.0])
+        with pytest.raises(DomainError, match=r"\|y\|\^\(p\+k\)"):
+            modified_green_values(cfg, x, [1.2e100, 0.0, 1e90])

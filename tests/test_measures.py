@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 from scipy.integrate import quad
 
@@ -77,6 +78,17 @@ def test_measure_gate_values():
     assert check_measure_condition(AtomicMeasure.empty(3), C31).value == 0.0
 
 
+def test_gates_take_the_limit_of_overflowing_powers():
+    # |y|^(n+m) past the float range is inf, and 1/(1 + inf) = 0 is the exact
+    # limit: no numpy warning, and the atom adds nothing
+    cfg = KernelConfig(3, 2)
+    with np.errstate(over="raise", invalid="raise"):
+        far = BoundaryData.atoms(2, [[1.2e100, 0.0], [0.0, 0.0]], [1.0, 1.0])
+        assert check_boundary_condition(far, cfg).value == 1.0
+        mu = AtomicMeasure(3, [[0.0, 0.0, 1e200], [0.0, 0.0, 1.0]], [1.0, 1.0])
+        assert check_measure_condition(mu, cfg).value == 0.5
+
+
 def test_measure_gate_rejects_lower_halfspace():
     with pytest.raises(DomainError):
         check_measure_condition(AtomicMeasure(3, [[0, 0, -1.0]], [1.0]), C31)
@@ -143,6 +155,9 @@ def test_boundary_json_roundtrip():
         ({"dimension": 3, "atoms": [{"point": [1, 2, 3], "mass": "x"}]}, "atoms[0].mass"),
         ({"dimension": 3, "atoms": [{"point": [1, 2, 3], "mass": -1}]}, "atoms[0].mass"),
         ({"dimension": 3, "atoms": [{"point": [1, "a", 3], "mass": 1}]}, "atoms[0].point[1]"),
+        # integers beyond the float range
+        ({"dimension": 3, "atoms": [{"point": [1, 2, 10**400], "mass": 1}]}, "atoms[0].point[2]"),
+        ({"dimension": 3, "atoms": [{"point": [1, 2, 3], "mass": 10**400}]}, "atoms[0].mass"),
     ],
 )
 def test_measure_schema_errors_carry_paths(payload, path):
@@ -159,6 +174,12 @@ def test_measure_schema_errors_carry_paths(payload, path):
         ({"dimension": 2, "kind": "family", "family": {"id": "mystery", "params": {}}}, "family.id"),
         (
             {"dimension": 2, "kind": "family", "family": {"id": "gaussian_bump", "params": {"c": 1.0, "sigma": -1.0}}},
+            "family.params",
+        ),
+        ({"dimension": 2, "kind": "atoms", "atoms": [{"point": [-(10**400), 0], "mass": 1}]},
+         "atoms[0].point[0]"),
+        (
+            {"dimension": 2, "kind": "family", "family": {"id": "power_growth", "params": {"s": 10**400}}},
             "family.params",
         ),
     ],
