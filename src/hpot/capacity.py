@@ -364,13 +364,16 @@ def thinness_series(
     )
 
 
-def membership_from_spec(spec: dict):
+def membership_from_spec(spec: dict, n: int | None = None):
     """Membership predicate over the half-space from a JSON set description.
 
     Shapes: {"shape": "empty"}, {"shape": "all"},
     {"shape": "ball", "center": [...], "radius": r},
-    {"shape": "cone", "aperture": a}  (points with x_n >= a |x|)."""
+    {"shape": "cone", "aperture": a}  (points with x_n >= a |x|).
+    A ball's center must hold n finite numbers (when n is given) and its
+    radius must be finite and positive."""
     from .errors import SchemaError
+    from .measures import _expect_number, _expect_vector
 
     if not isinstance(spec, dict) or "shape" not in spec:
         raise SchemaError("expected an object with a 'shape' field", "set")
@@ -380,10 +383,14 @@ def membership_from_spec(spec: dict):
     if shape == "all":
         return lambda x: True
     if shape == "ball":
-        center = np.asarray(spec.get("center"), dtype=float)
-        radius = spec.get("radius")
-        if center.ndim != 1 or not isinstance(radius, (int, float)) or radius <= 0:
-            raise SchemaError("ball needs 'center' list and positive 'radius'", "set")
+        if n is None and isinstance(spec.get("center"), list):
+            n = len(spec["center"])
+        center = np.array(_expect_vector(spec, "center", n, "set"))
+        radius = _expect_number(spec, "radius", "set")
+        if not np.all(np.isfinite(center)):
+            raise SchemaError("ball needs a finite center", "set.center")
+        if not 0 < radius < math.inf:
+            raise SchemaError("ball needs a finite positive radius", "set.radius")
         return lambda x: float(np.linalg.norm(np.asarray(x) - center)) < radius
     if shape == "cone":
         a = spec.get("aperture")

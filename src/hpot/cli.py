@@ -309,7 +309,7 @@ def cmd_capacity(args) -> int:
 
 def cmd_thinness(args) -> int:
     spec = _load_json_file(args.set, "set")
-    membership = membership_from_spec(spec)
+    membership = membership_from_spec(spec, args.n)
     cfg = KernelConfig(args.n)
     report = thinness_series(
         membership, args.kind, args.imax, cfg, args.e_samples, args.f_nodes

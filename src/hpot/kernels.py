@@ -425,7 +425,7 @@ def modified_poisson_polar(cfg: KernelConfig, x, rho, cos_gamma) -> np.ndarray:
     powers[(ks < m) | (ks > degree[:, None])] = 0.0
     out[tail] = amp * rho[tail, None] ** -float(n) * np.einsum("rk,kg->rg", powers, ladder)
     ks, rd = ks[:m], rho[direct, None]
-    head = ax**ks / _finite_powers(rd, n + ks, "rho^(n+k)")
+    head = _finite_powers(ax, ks, "|x|^k") / _finite_powers(rd, n + ks, "rho^(n+k)")
     out[direct] -= amp * np.einsum("rk,kg->rg", head, ladder[:m])
     return out
 

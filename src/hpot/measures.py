@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DomainError, SchemaError
 from .kernels import KernelConfig
-from .quadrature import panel_nodes, refined_breakpoints, unit_sphere_area
+from .quadrature import inverted_tail_rule, panel_nodes, refined_breakpoints, unit_sphere_area
 
 BOUNDARY_CONDITION = "boundary_integrability"
 MEASURE_CONDITION = "measure_integrability"
@@ -213,34 +213,16 @@ class BoundaryData:
             return self.params["R"]
         return 1.0
 
-    def tail_integral_bound(self, R: float, power: float) -> float:
-        """Upper bound for  int_R^inf |f(rho)| rho^power drho  (R >= 1).
-
-        ``power`` is the net exponent after the kernel envelope and surface
-        factor have been absorbed; callers pass values that make the
-        integral convergent whenever the data passes its gate.
-        """
+    def far_exponent(self, m: int) -> float:
+        """The power beta of the far field in u = 1/rho: for rho > 1 the
+        polar integrand |f(rho)| rho^(-m-2) drho is u^beta du times a smooth
+        function of u; m - s for power_growth (beta > -1 is the gate), 0 for
+        the other families."""
         if self.kind != "family":
-            raise DomainError("tail bounds are defined for family data")
-        fid, p = self.family_id, self.params
-        if fid == "indicator_ball":
-            rt = p["R"]
-            if R >= rt:
-                return 0.0
-            e = power + 1.0
-            if abs(e) < 1e-12:
-                return math.log(rt / R)
-            return (rt**e - R**e) / e
-        if fid == "gaussian_bump":
-            c, sig = abs(p["c"]), p["sigma"]
-            # |f| rho^power <= |c| R^power e^{-rho^2/2sig^2} for rho >= R >= 1, power<0
-            return c * R**power * (sig**2 / R) * math.exp(-0.5 * (R / sig) ** 2)
-        s = p["s"]
-        e = s + power + 1.0
-        if e >= 0.0:
-            return math.inf
-        c_env = 2.0 ** (0.5 * max(s, 0.0))
-        return c_env * R**e / (-e)
+            raise DomainError("far-field exponents are defined for family data")
+        if self.family_id == "power_growth":
+            return float(m) - self.params["s"]
+        return 0.0
 
     @classmethod
     def from_json_dict(cls, obj) -> "BoundaryData":
@@ -349,33 +331,27 @@ def _expect_vector(obj, key, length, prefix=""):
 
 
 def _radial_gate_integral(data: BoundaryData, cfg: KernelConfig) -> float:
-    """A * int_0^inf |f(rho)| rho^(n-2) / (1 + rho^(n+m)) drho  in polar form,
-    with the truncation radius grown until the analytic tail bound falls
-    below 1e-12 of the accumulated integral."""
+    """A * int_0^inf |f(rho)| rho^(n-2) / (1 + rho^(n+m)) drho  in polar form:
+    panels up to r0 = max(2, 4 scale) (or the support) and the inverted
+    Gauss-Jacobi rule beyond."""
     n, m = cfg.n, cfg.m
     area = unit_sphere_area(n - 1)
     radial = data.radial()
     scale = data.radial_scale()
     support = data.radial_support()
 
-    def chunk(lo, hi):
-        bs = refined_breakpoints(lo, hi, base_scale=min(0.5, scale))
-        nodes, w = panel_nodes(bs, 24)
-        vals = np.abs(radial(nodes)) * nodes ** (n - 2) / (1.0 + nodes ** (n + m))
-        return float(np.dot(w, vals))
+    def integrand(nodes):
+        # rho^(n-2) / (1 + rho^(n+m)) with the power rho^(2-n) divided out,
+        # so a power past the float range gives the limit 0, not inf / inf
+        with np.errstate(over="ignore"):
+            return np.abs(radial(nodes)) / (nodes ** (2.0 - n) + nodes ** (m + 2.0))
 
-    if support is not None:
-        return area * chunk(0.0, support)
-
-    rmax = max(2.0, 4.0 * scale)
-    acc = chunk(0.0, rmax)
-    for _ in range(60):
-        # tail of the gate integrand: |f| rho^{-m-2} envelope beyond rmax
-        tail = area * data.tail_integral_bound(rmax, float(-m - 2))
-        if tail <= 1e-12 * max(acc, 1e-300):
-            break
-        acc += chunk(rmax, 2.0 * rmax)
-        rmax *= 2.0
+    r0 = support if support is not None else max(2.0, 4.0 * scale)
+    nodes, w = panel_nodes(refined_breakpoints(0.0, r0, base_scale=min(0.5, scale)), 24)
+    acc = float(np.dot(w, integrand(nodes)))
+    if support is None:
+        nodes, w = inverted_tail_rule(r0, 24, data.far_exponent(m))
+        acc += float(np.dot(w, integrand(nodes)))
     return area * acc
 
 

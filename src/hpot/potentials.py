@@ -2,18 +2,17 @@
 
 Atomic sources are evaluated exactly as kernel sums.  Radial boundary
 families are integrated in polar form: a panelized Gauss-Legendre rule in
-the boundary radius (refined near the kernel peak and cut at the unit-ball
-branch point) tensored with a rule in the polar angle; the improper radial
-integral is truncated where the kernel tail envelope times the family's own
-tail bound drops below 1e-9 of the absolute mass inside the initial radius.
-That radius is doubled until the bound holds, which takes no quadrature
-pass beyond the order-12 probe that measured the mass.
+the boundary radius on [0, R0] (refined near the kernel peak and cut at the
+unit-ball branch point) plus one Gauss-Jacobi panel in u = 1/rho for the
+far field beyond R0, tensored with a rule in the polar angle.  R0 is the
+support of finite data, else at least 4|x|, so every far source is on the
+kernel's tail route; there the integrand is u^beta times a smooth function
+of u, beta = ``BoundaryData.far_exponent(m)`` > -1, and the Gauss-Jacobi
+rule for that weight integrates the whole tail without truncation.
 
-The value is the order-16 pass at the final radius.  Its lower rung is the
-order-12 pass there: the probe itself when the radius did not grow, else
-one fresh order-12 pass (the first pass for finite support).  Orders 24
-and 32 run only while a rung differs from the one below by more than the
-target.
+The value is the order-16 pass, checked against the order-12 pass; orders
+24 and 32 run only while a rung differs from the one below by more than
+the target.
 
 A block of points large enough to pay for a fork is cut into contiguous
 slices, one per core of the process's affinity, each computed by a process
@@ -46,7 +45,7 @@ from .measures import (
     check_boundary_condition,
     check_measure_condition,
 )
-from .quadrature import panel_nodes, refined_breakpoints, unit_sphere_area
+from .quadrature import inverted_tail_rule, panel_nodes, refined_breakpoints, unit_sphere_area
 
 _QUAD_TARGET = 1e-8
 _NEAR_BOUNDARY = 1e-6
@@ -352,25 +351,34 @@ def _gamma_rule(cfg: KernelConfig, x_tan: float, xn: float, order: int):
     return np.cos(gam), w
 
 
-def _radial_rule(cfg, cx, data, rmax, order):
+def _radial_rule(cfg, cx, data, order):
+    """Panels on [0, R0] plus the inverted far-field rule on [R0, inf); R0
+    is the support of finite data, else max(4, 4|x|, 6 scale, 8 x_n), so
+    every source beyond it is on the kernel's tail route."""
     xn = cx[-1]
     ax = float(np.sqrt(np.dot(cx, cx)))
     x_tan = math.sqrt(max(ax * ax - xn * xn, 0.0))
+    support = data.radial_support()
+    scale = data.radial_scale()
+    r0 = support if support is not None else max(4.0, 4.0 * ax, 6.0 * scale, 8.0 * xn)
     anchors = []
     if x_tan > 2.0 * xn:
         anchors.append((x_tan, max(xn, 1e-9 * x_tan)))
-    base = max(min(xn if xn > 0 else data.radial_scale(), data.radial_scale()), 1e-9)
-    breaks = refined_breakpoints(0.0, rmax, base_scale=base, anchors=anchors)
+    base = max(min(xn if xn > 0 else scale, scale), 1e-9)
+    breaks = refined_breakpoints(0.0, r0, base_scale=base, anchors=anchors)
     # the kernel switches branch at the unit sphere: keep it a panel edge
-    if 0.0 < 1.0 < rmax:
+    if 0.0 < 1.0 < r0:
         breaks = sorted(set(breaks) | {1.0})
     rho, w = panel_nodes(breaks, order)
+    if support is None:
+        far_rho, far_w = inverted_tail_rule(r0, order, data.far_exponent(cfg.m))
+        rho, w = np.concatenate((rho, far_rho)), np.concatenate((w, far_w))
     return rho, w
 
 
-def _quad_pass(cfg, cx, data, radial, rmax, order, *, l1=False):
+def _quad_pass(cfg, cx, data, radial, order, *, l1=False):
     """Quadrature value at one rule order; with ``l1``, (value, L1 mass)."""
-    rho, wr = _radial_rule(cfg, cx, data, rmax, order)
+    rho, wr = _radial_rule(cfg, cx, data, order)
     cosg, wg = _gamma_rule(
         cfg, math.sqrt(max(np.dot(cx, cx) - cx[-1] ** 2, 0.0)), cx[-1], order
     )
@@ -387,41 +395,12 @@ def _quad_pass(cfg, cx, data, radial, rmax, order, *, l1=False):
 
 
 def _radial_family_quadrature(cfg, cx, data: BoundaryData):
-    xn = cx[-1]
-    ax = float(np.sqrt(np.dot(cx, cx)))
+    # each order is checked against the rung below and the ladder stops at
+    # the first that passes; the order-12 L1 mass sets the error scale
     radial = data.radial()
-    support = data.radial_support()
-    scale = data.radial_scale()
-
-    if support is not None:
-        rmax, lower = support, None
-    else:
-        rmax = max(4.0, 4.0 * ax, 6.0 * scale, 8.0 * xn)
-        # grow the truncation radius until the analytic tail is negligible
-        try:
-            ax_m = ax**cfg.m
-        except OverflowError:
-            raise DomainError("kernel out of floating-point range: |x|^m overflows") from None
-        kern_env = (
-            unit_sphere_area(cfg.n - 1) * 2.0 ** (cfg.m + cfg.n + 1) * xn * ax_m / cfg.omega_n
-        )
-        # the L1 mass inside the first radius is the reference: the mass
-        # only grows with rmax, so this stop test is the strictest of them
-        lower = _quad_pass(cfg, cx, data, radial, rmax, 12, l1=True)
-        probe_l1 = lower[1]
-        for _ in range(64):
-            tail = kern_env * data.tail_integral_bound(rmax, float(-cfg.m - 2))
-            if tail <= 1e-9 * max(probe_l1, 1e-300):
-                break
-            rmax *= 2.0
-            lower = None
-
-    # the order-12 pass at the final radius is the lower rung: the probe
-    # itself when the radius did not grow; each higher order is checked
-    # against the rung below and the ladder stops at the first that passes
-    value, l1 = lower or _quad_pass(cfg, cx, data, radial, rmax, 12, l1=True)
+    value, l1 = _quad_pass(cfg, cx, data, radial, 12, l1=True)
     for order in (16, 24, 32):
-        below, value = value, _quad_pass(cfg, cx, data, radial, rmax, order)
+        below, value = value, _quad_pass(cfg, cx, data, radial, order)
         err = abs(value - below)
         scale_ref = max(abs(value), l1 * 1e-3, 1e-300)
         converged = err <= _QUAD_TARGET * scale_ref

@@ -1,8 +1,11 @@
-"""Panel-based Gauss-Legendre quadrature helpers.
+"""Panel-based Gauss-Legendre quadrature helpers and an inverted tail rule.
 
-Improper integrals over [0, inf) are handled with dyadic panels plus
-analytic tail bounds supplied by the caller; integrands peaked at interior
-points get locally refined breakpoints.
+Integrals over [0, inf) are split at a radius r0: dyadic Gauss-Legendre
+panels cover [0, r0], refined locally where the integrand peaks, and
+``inverted_tail_rule`` covers [r0, inf) in u = 1/rho, where the caller's
+integrand is u^beta times a smooth function of u.  The endpoint power is
+absorbed by a Gauss-Jacobi rule (Golub-Welsch), so no truncation radius
+is needed.
 """
 from __future__ import annotations
 
@@ -18,6 +21,31 @@ from .errors import DomainError
 def _leggauss(npts: int):
     x, w = np.polynomial.legendre.leggauss(npts)
     return x, w
+
+
+@functools.lru_cache(maxsize=64)
+def _gauss_jacobi(npts: int, beta: float):
+    """Gauss rule for the weight (1+x)^beta on [-1, 1], beta > -1, from the
+    Jacobi matrix of the polynomials P_k^(0, beta) (Golub-Welsch)."""
+    k = np.arange(1.0, npts)
+    s = 2.0 * k + beta
+    diag = np.append(beta / (beta + 2.0), beta * beta / (s * (s + 2.0)))
+    off = np.sqrt(4.0 * k**2 * (k + beta) ** 2 / (s * s * (s + 1.0) * (s - 1.0)))
+    x, vec = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    w = 2.0 ** (beta + 1.0) / (beta + 1.0) * vec[0] ** 2
+    x.flags.writeable = w.flags.writeable = False  # shared by every caller
+    return x, w
+
+
+def inverted_tail_rule(r0: float, npts: int, beta: float):
+    """Nodes rho > r0 and weights w with sum w F(rho) = int_{r0}^inf F drho
+    for F(1/u) u^-2 = u^beta g(u), g smooth: the Gauss-Jacobi rule mapped by
+    u = (1+x) / (2 r0).  The weight of the substitution,
+    (u0/2)^(beta+1) u^(-2-beta), is written scale-free as
+    rho (1+x)^-(beta+1), so it stays finite for any r0 and beta."""
+    x, w = _gauss_jacobi(npts, float(beta))
+    rho = 2.0 * r0 / (1.0 + x)
+    return rho, w * rho * (1.0 + x) ** -(beta + 1.0)
 
 
 def unit_sphere_area(d: int) -> float:

@@ -407,7 +407,7 @@ def _power_growth(s):
 @pytest.mark.parametrize(
     "data, m, radii, message",
     [
-        (_power_growth(0.5), 6, "1:1e70:3", "kernel out of floating-point range: |x|^m overflows"),
+        (_power_growth(0.5), 6, "1:1e70:3", "kernel out of floating-point range: |x|^k overflows"),
         (_power_growth(3.5), 3, "1:1e60:3",
          "quadrature out of floating-point range: the weighted sum overflows"),
         (ATOMS, 6, "1:1e90:3",
@@ -491,6 +491,36 @@ def test_capacity_command(tmp_path, capsys):
     payload = json.loads(out)
     assert payload["value"] > 0
     assert payload["n_constraints"] == 2
+
+
+@pytest.mark.parametrize(
+    "spec, path",
+    [
+        ('{"shape": "ball", "center": [1.0, 2.0], "radius": 3}', "set.center"),
+        ('{"shape": "ball", "center": [1.0, "a", 2.0], "radius": 3}', "set.center[1]"),
+        ('{"shape": "ball", "center": [1.0, 2.0, true], "radius": 3}', "set.center[2]"),
+        ('{"shape": "ball", "center": [1.0, 2.0, 1e400], "radius": 3}', "set.center"),
+        ('{"shape": "ball", "center": "0,0,3", "radius": 3}', "set.center"),
+        ('{"shape": "ball", "center": [0, 0, 3.0], "radius": 1e400}', "set.radius"),
+        ('{"shape": "ball", "center": [0, 0, 3.0], "radius": 1' + "0" * 400 + "}", "set.radius"),
+        ('{"shape": "ball", "center": [0, 0, 3.0], "radius": 0}', "set.radius"),
+    ],
+    ids=["short_center", "string_entry", "bool_entry", "infinite_entry", "string_center",
+         "infinite_radius", "huge_int_radius", "zero_radius"],
+)
+def test_bad_ball_specs_are_schema_errors(tmp_path, capsys, spec, path):
+    # a wrong-length, non-numeric or non-finite center, or a radius that is
+    # not finite and positive, is refused at the set file: one schema error
+    set_file = tmp_path / "set.json"
+    set_file.write_text(spec)
+    code, out, err = run_cli(
+        capsys, "thinness", "--set", str(set_file), "--kind", "boundary", "--n", "3",
+        "--imax", "1", "--e-samples", "8", "--f-nodes", "32",
+    )
+    assert code == 65 and out == ""
+    assert err.count("\n") == 1
+    payload = json.loads(err)
+    assert payload["code"] == "schema" and payload["message"].startswith(f"{path}: ")
 
 
 def test_thinness_command(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -35,6 +36,27 @@ def test_power_growth_closed_form_value():
     assert rep.value == pytest.approx(math.pi**2 / 2, rel=1e-8)
 
 
+@pytest.mark.parametrize("n, m, s", [(3, 1, 1.9), (4, 2, 2.8), (3, 0, 0.95)])
+def test_power_growth_gate_value_near_the_edge(n, m, s):
+    # s close to m + 1: the integrand decays like rho^(s-m-2), too slowly for
+    # a truncation radius; the reference takes [8, inf) at 30 digits in v,
+    # with 1/rho = v^(1/(beta+1)) / 8 and beta = m - s, which turns the
+    # endpoint power u^beta du into a multiple of dv
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 30
+    p = 1 / (m - mp.mpf(s) + 1)
+
+    def f(r):
+        return (1 + r * r) ** (mp.mpf(s) / 2) * r ** (n - 2) / (1 + r ** (n + m))
+
+    tail = mp.quad(lambda v: f(8 / v**p) * (v**p / 8) ** -2 * p * v ** (p - 1) / 8, [0, 1])
+    area = 2 * mp.pi ** (mp.mpf(n - 1) / 2) / mp.gamma(mp.mpf(n - 1) / 2)
+    ref = float(area * (mp.quad(f, [0, 1, 2, 4, 8]) + tail))
+    rep = check_boundary_condition(BoundaryData.power_growth(n - 1, s), KernelConfig(n, m))
+    assert rep.satisfied
+    assert rep.value == pytest.approx(ref, rel=1e-12)
+
+
 def test_atoms_always_satisfy_gate():
     f = BoundaryData.atoms(2, [[0.0, 0.0], [3.0, 4.0]], [1.0, 2.0])
     rep = check_boundary_condition(f, C31)
@@ -57,6 +79,16 @@ def test_gaussian_value_matches_reference_quadrature():
             limit=300,
         )[0]
         assert rep.value == pytest.approx(ref, rel=1e-8)
+
+
+def test_wide_gaussian_gate_takes_the_limit_of_overflowing_powers():
+    # sigma = 1e80 puts panel nodes near 4e80, where rho^(n+m) overflows;
+    # f is 1 wherever the integrand is not negligible, so the value is the
+    # one of constant data, pi^2 / 2 for n = 3, m = 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = check_boundary_condition(BoundaryData.gaussian_bump(2, 1.0, 1e80), C31)
+    assert rep.value == pytest.approx(math.pi**2 / 2, rel=1e-10)
 
 
 def test_indicator_gate_value():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hpot.errors import DomainError
-from hpot.quadrature import halton_sequence
+from hpot.quadrature import _gauss_jacobi, halton_sequence, inverted_tail_rule
 
 
 def loop_halton(count, dim, skip=0):
@@ -38,3 +38,44 @@ def test_halton_prefixes_are_nested_and_bad_sizes_refused():
     for count, dim, skip in ((4, 13, 0), (-1, 2, 0), (4, -1, 0), (4, 2, -1)):
         with pytest.raises(DomainError):
             halton_sequence(count, dim, skip)
+
+
+@pytest.mark.parametrize("npts", [12, 16, 24, 32])
+@pytest.mark.parametrize("beta", [-0.9, -0.5, 0.0, 0.5, 2.5, 5.5])
+def test_gauss_jacobi_integrates_polynomials_exactly(beta, npts):
+    # int_{-1}^{1} x^k (1+x)^beta dx for k < 2 npts, from t = 1 + x and the
+    # binomial expansion at 60 digits; the tolerance is relative to
+    # int |x|^k (1+x)^beta, which adds 2 B(k+1, beta+1) on [-1, 0] for odd k
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 60
+    b = mp.mpf(beta)
+    x, w = _gauss_jacobi(npts, beta)
+    for k in range(2 * npts):
+        exact = mp.fsum(
+            mp.binomial(k, j) * (-1) ** (k - j) * mp.mpf(2) ** (j + b + 1) / (j + b + 1)
+            for j in range(k + 1)
+        )
+        absolute = exact + (mp.beta(k + 1, b + 1) * 2 if k % 2 else 0)
+        assert abs(np.sum(w * x**k) - float(exact)) <= 1e-13 * float(absolute), k
+
+
+@pytest.mark.parametrize("npts", [12, 32])
+@pytest.mark.parametrize("beta", [-0.9, 0.0, 5.5])
+def test_gauss_jacobi_matches_scipy(beta, npts):
+    special = pytest.importorskip("scipy.special")
+    x, w = _gauss_jacobi(npts, beta)
+    xs, ws = special.roots_jacobi(npts, 0.0, beta)
+    assert np.max(np.abs(x - xs)) <= 4e-15
+    assert np.max(np.abs(w - ws) / ws) <= 1e-10
+
+
+@pytest.mark.parametrize("r0", [4.0, 1e70])
+@pytest.mark.parametrize("beta", [-0.9, 0.0, 5.5])
+def test_inverted_tail_rule_integrates_power_tails(r0, beta):
+    # rho^-(beta+2+j) is u^beta u^j in u = 1/rho: exact for j < 2 npts
+    rho, w = inverted_tail_rule(r0, 12, beta)
+    assert np.all(np.isfinite(w)) and np.all(rho > r0)
+    for j in range(0, 24, 5):
+        a = beta + 2.0 + j
+        # int_{r0}^inf rho^-a drho = r0^(1-a) / (a-1), scaled by r0^(a-1)
+        assert np.sum(w / r0 * (rho / r0) ** -a) == pytest.approx(1.0 / (a - 1.0), rel=1e-13)
