@@ -9,19 +9,20 @@ kept exactly; the jump across the unit sphere is measure zero and accepted.
 
 The Cartesian modified kernels (E_m, G_m and P_m) compute their plain
 closed form and hand it to one route helper, ``_modify``, which picks per
-element between three routes that agree to machine precision where they
-overlap:
+element between three routes that agree to near machine precision where
+they overlap:
 
 * the plain closed form (sources inside the closed unit ball),
 * closed form minus the finite head of the expansion (sources at moderate
   radius),
 * the Gegenbauer tail series starting at the first surviving degree, used
-  when the source radius is at least twice the field radius.  This route is
-  free of the catastrophic cancellation the closed-form difference suffers
-  deep in the tail.  Each element is truncated by its own ratio
-  q = |x|/|y|, once the next term's envelope C_k(1) q^k falls below 1e-17
-  of the leading term's, so a batch costs no more terms per element than
-  that element needs.
+  when the source radius is at least c times the field radius: c = 4 for
+  kernels that drop at most 3 terms, 2 above (``_routes``; the comment
+  there gives the accuracy measured at each c).  This route is free of the
+  catastrophic cancellation the closed-form difference suffers deep in the
+  tail.  Each element is truncated by its own ratio q = |x|/|y|, once the
+  next term's envelope C_k(1) q^k falls below 1e-17 of the leading term's,
+  so a batch costs no more terms per element than that element needs.
 
 The polar P_m of the quadrature runs on a grid of source radii (rows, each
 routed by ``_routes``) by cosines: one Gegenbauer ladder over the cosines
@@ -253,21 +254,24 @@ def green(cfg: KernelConfig, x, y) -> float:
     return float(green_values(cfg, cx, cy))
 
 
-def _finite_powers(base, exponent, what):
-    """base ** exponent for nonnegative bases; a power that overflows is a
-    DomainError, found by one reduction and raised before numpy can warn."""
+def _finite_powers(base, exponent, what, where=True):
+    """base ** exponent for nonnegative bases; a power that overflows where
+    ``where`` holds is a DomainError, found by one reduction and raised
+    before numpy can warn (elsewhere it may be inf)."""
     with np.errstate(over="ignore"):
         p = base**exponent
-    if not np.isfinite(np.max(p, initial=0.0)):
+    if not np.isfinite(np.max(p, initial=0.0, where=where)):
         raise DomainError(f"kernel out of floating-point range: {what} overflows")
     return p
 
 
-def _poisson_closed_form(cfg, xn, d2):
-    """2 x_n / (omega_n d2^(n/2)) from d2 = |x - (y',0)|^2."""
+def _poisson_closed_form(cfg, xn, d2, where=True):
+    """2 x_n / (omega_n d2^(n/2)) from d2 = |x - (y',0)|^2; only the elements
+    where ``where`` holds are refused when d2^(n/2) overflows (the others
+    read 0 and are meant to be overwritten)."""
     if np.any(d2 <= 0.0):
         raise SingularityError("Poisson kernel evaluated at its boundary source")
-    return 2.0 * xn / (cfg.omega_n * _finite_powers(d2, 0.5 * cfg.n, "|x - y|^n"))
+    return 2.0 * xn / (cfg.omega_n * _finite_powers(d2, 0.5 * cfg.n, "|x - y|^n", where))
 
 
 def poisson_values(cfg: KernelConfig, x, yps) -> np.ndarray:
@@ -289,14 +293,31 @@ def poisson(cfg: KernelConfig, x, yp) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _routes(ax, ay):
-    """Masks of the tail-series sources (|y| > 1, |y| >= 2|x|) and of the
-    direct ones (1 < |y| < 2|x|); the rest keep the plain kernel."""
-    outer, far = ay > 1.0, ay >= 2.0 * ax
+# Highest modification order (number of subtracted terms) whose tail seam
+# sits at |y| = 4|x|; higher orders keep it at 2|x|.  At c = 4 the tail's
+# q = |x|/|y| is at most 1/4, and the series stops by degree 34 instead of
+# 68 (lam = 3/2, order 1).  The direct route's closed form minus head
+# cancels about c^order of the value, so the wider seam costs accuracy.
+# Against mpmath at 50 digits, n = 3-5, 400 random sources per kernel and
+# order in 2|x| <= |y| < 4|x|: with c = 4 the 99th-percentile relative
+# error stayed <= 2.7e-13 for orders 1-3 (2.6e-14 with c = 2); at order 4
+# it reached 1.1e-12 for E_4 and 2.0e-12 for G_3, which drops 4 terms
+# (1.3e-14 and 1.8e-13), and one random G_3 pair read 1.5e-11 (1.8e-12),
+# above the seam oracle's 1e-11.
+_WIDE_SEAM_ORDERS = 3
+
+
+def _routes(ax, ay, order):
+    """Masks of the tail-series sources (|y| > 1, |y| >= c|x|) and of the
+    direct ones (1 < |y| < c|x|) for a kernel that drops its first ``order``
+    expansion terms, c = 4 up to order ``_WIDE_SEAM_ORDERS`` and 2 above;
+    the rest keep the plain kernel."""
+    c = 4.0 if order <= _WIDE_SEAM_ORDERS else 2.0
+    outer, far = ay > 1.0, ay >= c * ax
     return outer & far, outer & ~far
 
 
-def _modify(plain, lam, ax, ay, t, order, power, amp):
+def _modify(plain, lam, ax, ay, t, order, power, amp, routes=None):
     """The modified kernel from the plain kernel values, for sources with
     |y| > 1.
 
@@ -304,18 +325,19 @@ def _modify(plain, lam, ax, ay, t, order, power, amp):
     the modified kernel drops its first ``order`` terms.  ``t`` stacks the
     cosines along a leading axis: one row, or two (y and its reflection y*)
     when the kernel is the difference of the two expansions.  ax, ay, amp
-    and each row of t broadcast to plain's shape.  Sources with |y| >= 2|x|
-    take the tail series amp |y|^-power sum_{k >= order} C_k(t) q^k; the
-    others subtract the finite head from the closed form, where a power
+    and each row of t broadcast to plain's shape.  Tail sources (see
+    ``_routes``; the caller may pass the masks it already has, of plain's
+    shape) take the tail series amp |y|^-power sum_{k >= order} C_k(t) q^k;
+    direct ones subtract the finite head from the closed form, where a power
     |x|^k or |y|^(power+k) that overflows is a DomainError."""
     if order == 0:
         return plain
     shape = plain.shape
     out = plain.ravel()
     ax, ay, amp = (np.broadcast_to(a, shape).ravel() for a in (ax, ay, amp))
+    tail, direct = (np.flatnonzero(r) for r in routes or _routes(ax, ay, order))
     t = np.broadcast_to(t, t.shape[:1] + shape).reshape(len(t), -1)
     pair = len(t) == 2
-    tail, direct = (np.flatnonzero(r) for r in _routes(ax, ay))
     if tail.size:
         ayt = ay[tail]
         s = gegenbauer_tail_sum(lam, t[:, tail], ax[tail] / ayt, order)
@@ -383,9 +405,11 @@ def modified_poisson_values(cfg: KernelConfig, x, yps) -> np.ndarray:
     |y'| <= 1 or when the modification order is zero."""
     xs, _, shape, d2, dots, ax, ay = _pairs(x, yps, cfg.n, cfg.n - 1)
     xn = xs[:, -1:]
-    out = _poisson_closed_form(cfg, xn, d2 + xn * xn)
+    routes = _routes(ax, ay, cfg.m)
+    # the closed form of a tail source is overwritten, so it may overflow
+    out = _poisson_closed_form(cfg, xn, d2 + xn * xn, ~routes[0] if cfg.m else True)
     t = _cos_angle(dots, ax, ay)[None]
-    out = _modify(out, 0.5 * cfg.n, ax, ay, t, cfg.m, cfg.n, 2.0 * xn / cfg.omega_n)
+    out = _modify(out, 0.5 * cfg.n, ax, ay, t, cfg.m, cfg.n, 2.0 * xn / cfg.omega_n, routes)
     return out.reshape(shape)[()]
 
 
@@ -409,11 +433,15 @@ def modified_poisson_polar(cfg: KernelConfig, x, rho, cos_gamma) -> np.ndarray:
     ax2 = float(np.dot(cx, cx))
     ax = math.sqrt(ax2)
     x_tan = math.sqrt(max(ax2 - xn * xn, 0.0))
-    rho2 = squared_norms(rho[:, None], "source")[:, None]
-    out = _poisson_closed_form(cfg, xn, ax2 - 2.0 * x_tan * rho[:, None] * cos_gamma + rho2)
+    tail, direct = _routes(ax, rho, m)
+    # the closed form only on plain and direct rows: tail rows may overflow it
+    near = ~tail if m else slice(None)
+    rn = rho[near, None]
+    out = np.empty((rho.size, cos_gamma.size))
+    d2 = ax2 - 2.0 * x_tan * rn * cos_gamma + squared_norms(rn, "source")[:, None]
+    out[near] = _poisson_closed_form(cfg, xn, d2)
     if m == 0:
         return out
-    tail, direct = _routes(ax, rho)
     lam, amp = 0.5 * n, 2.0 * xn / cfg.omega_n
     q = ax / rho[tail]
     degree = m + np.searchsorted(_tail_thresholds(lam, m), q, "right")

@@ -451,6 +451,42 @@ def test_cartesian_head_overflow_is_domain_error(tmp_path, capsys):
     }
 
 
+def _dirichlet_values(tmp_path, capsys, data, point="1,0,1", m=1):
+    path = tmp_path / "data.json"
+    path.write_text(json.dumps(data))
+    points = tmp_path / "p.csv"
+    points.write_text(f"x_1,x_2,x_3\n{point}\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(
+            capsys, "potential", "--kind", "dirichlet", "--data", str(path),
+            "--points", str(points), "--n", "3", "--m", str(m),
+        )
+    assert code == 0 and err == "" and caught == [], err
+    return float(out.splitlines()[1].split(",")[-1])
+
+
+def test_wide_gaussian_far_nodes_take_the_tail_series(tmp_path, capsys):
+    # the far-field panel reaches rho ~ 1e104, where |x - y|^3 overflows;
+    # those rows take the tail series, so only plain and direct rows form
+    # the closed form.  The integral of constant data is 1 - x_n = 0.
+    data = {"dimension": 2, "kind": "family",
+            "family": {"id": "gaussian_bump", "params": {"c": 1.0, "sigma": 1e100}}}
+    assert abs(_dirichlet_values(tmp_path, capsys, data)) <= 1e-15
+
+
+def test_far_boundary_atom_takes_the_tail_series(tmp_path, capsys):
+    # |x - y'|^3 overflows for the atom at 1e110, a tail source worth 0
+    def atoms(*xs):
+        return {"dimension": 2, "kind": "atoms",
+                "atoms": [{"point": [x, 0.0], "mass": 1.0} for x in xs]}
+
+    alone = _dirichlet_values(tmp_path, capsys, atoms(2.0))
+    both = _dirichlet_values(tmp_path, capsys, atoms(1e110, 2.0))
+    assert alone == pytest.approx(0.0363754, rel=1e-6)
+    assert abs(both - alone) <= 1e-15 * abs(alone)
+
+
 @pytest.mark.parametrize("where, path", [("point", "atoms[0].point[2]"), ("mass", "atoms[0].mass")])
 def test_out_of_range_json_integer_is_schema_error(tmp_path, capsys, where, path):
     atom = {"point": [0, 0, 1], "mass": 1}

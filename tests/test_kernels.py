@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import gamma as sp_gamma
 
+from hpot import kernels
 from hpot.diagnostics import laplacian_residual
 from hpot.errors import DomainError, SingularityError
 from hpot.gegenbauer import gegenbauer_at_one, recurrence_ladder
@@ -471,7 +472,8 @@ def test_tail_sum_shapes_and_elementwise_truncation():
 
 def _route_sources(rng, n, width, count, ax_max):
     """Sources whose radii cover every route for field radii up to ax_max:
-    inside the unit ball, between 1 and 2|x| (direct), beyond 2|x| (tail)."""
+    inside the unit ball, between 1 and c|x| (direct), beyond c|x| (tail),
+    for both tail seams c = 2 and c = 4, with sources on each seam."""
     d = rng.normal(size=(count, width))
     d /= np.linalg.norm(d, axis=1, keepdims=True)
     if width == n:
@@ -479,7 +481,7 @@ def _route_sources(rng, n, width, count, ax_max):
         d[:4, -1] = 0.0  # boundary sources
         d[:4] /= np.linalg.norm(d[:4], axis=1, keepdims=True)
     radii = np.geomspace(0.2, 8 * ax_max, count)
-    radii[-2:] = (1.0, 2.0 * ax_max)
+    radii[-3:] = (1.0, 2.0 * ax_max, 4.0 * ax_max)
     return d * rng.permutation(radii)[:, None]
 
 
@@ -495,6 +497,8 @@ def test_block_rows_equal_single_point_calls(n):
     ax = np.linalg.norm(xs, axis=1)[:, None]
     routes = [ay <= 1, (ay > 1) & (ay < 2 * ax), (ay > 1) & (ay >= 2 * ax)]
     assert all(np.any(r) for r in routes)
+    # both sides of the seam |y| = 4|x| of orders 1-3
+    assert all(np.any(r) for r in ((ay > 2 * ax) & (ay < 4 * ax), ay >= 4 * ax))
     for m in range(4):
         cfg = KernelConfig(n, m)
         for fn, src in (
@@ -556,17 +560,32 @@ def mp_modified_green(mpmath, cfg, x, y):
     )
 
 
+def mp_modified_fundamental(mpmath, cfg, x, y):
+    omega = 2 * mpmath.pi ** (mpmath.mpf(cfg.n) / 2) / mpmath.gamma(mpmath.mpf(cfg.n) / 2)
+    r_n = 1 / ((cfg.n - 2) * omega)
+    return -r_n * mp_modified_kernel(mpmath, cfg.n, cfg.m, x, y, cfg.n - 2)
+
+
+SEAM_EPS = (1e-12, 1e-9, 1e-6, 1e-3)
+
+
+def _seam_radii(ax):
+    """The unit sphere and both tail seams |y| = c|x| (c = 4 up to order 3,
+    c = 2 above), probed at (1 +- eps) for every order."""
+    return 1.0, 2.0 * ax, 4.0 * ax
+
+
 def _seam_cases(rng, n, width):
-    """(x, source) pairs with |source| at 1 +- eps and 2|x| +- eps; x and
-    interior sources keep a height of at least 0.3 of their radius, so the
-    Green difference of y and y* does not cancel."""
+    """(x, source) pairs with |source| at 1 +- eps, 2|x| +- eps and
+    4|x| +- eps; x and interior sources keep a height of at least 0.3 of
+    their radius, so the Green difference of y and y* does not cancel."""
     cases = []
     for ax in (0.7, 1.6, 3.0):
         x = rng.normal(size=n)
         x[-1] = abs(x[-1]) + 0.6 * np.linalg.norm(x)
         x *= ax / np.linalg.norm(x)
-        for seam in (1.0, 2.0 * ax):
-            for eps in (1e-12, 1e-9, 1e-6, 1e-3):
+        for seam in _seam_radii(ax):
+            for eps in SEAM_EPS:
                 for sign in (-1.0, 1.0):
                     d = rng.normal(size=width)
                     if width == n:
@@ -579,11 +598,12 @@ def _seam_cases(rng, n, width):
 def test_route_seams_match_mpmath(n):
     mpmath = pytest.importorskip("mpmath")
     rng = np.random.default_rng(200 + n)
-    for m in range(4):
+    for m in range(7):
         cfg = KernelConfig(n, m)
         for fn, ref, width in (
             (modified_poisson_values, mp_modified_poisson, n - 1),
             (modified_green_values, mp_modified_green, n),
+            (modified_fundamental_values, mp_modified_fundamental, n),
         ):
             cases = _seam_cases(rng, n, width)
             xs = np.array([x for x, _ in cases])
@@ -595,6 +615,17 @@ def test_route_seams_match_mpmath(n):
                     for got in (float(fn(cfg, x, s)), block[i, i]):
                         err = abs((got - exact) / exact)
                         assert err <= SEAM_RTOL, (fn.__name__, m, x, s, float(err))
+
+
+def test_tail_seam_moves_with_the_order():
+    # |y| = 4|x| up to order 3, 2|x| above; the unit sphere stays
+    for order in range(1, 9):
+        c = 4.0 if order <= 3 else 2.0
+        for ax in (0.7, 3.0):
+            ay = np.array([1.0, 1.0 + 1e-12, c * ax * (1 - 1e-12), c * ax])
+            tail, direct = kernels._routes(ax, ay, order)
+            assert tail.tolist() == [False, False, False, True], (order, ax)
+            assert direct.tolist() == [False, True, True, False], (order, ax)
 
 
 # ---------------------------------------------------------------------------
@@ -620,8 +651,8 @@ def test_polar_seams_match_mpmath(n):
     rng = np.random.default_rng(300 + n)
     for ax in (0.7, 1.6, 3.0):
         x, e, perp = _polar_point(rng, n, ax)
-        for seam in (1.0, 2.0 * ax):
-            for eps in (1e-12, 1e-9, 1e-6, 1e-3):
+        for seam in _seam_radii(ax):
+            for eps in SEAM_EPS:
                 for sign in (-1.0, 1.0):
                     for gam in (0.0, math.pi / 3, math.pi):
                         yp = seam * (1.0 + sign * eps) * (math.cos(gam) * e + math.sin(gam) * perp)
@@ -631,7 +662,7 @@ def test_polar_seams_match_mpmath(n):
                             rho = mpmath.sqrt(sum(v * v for v in my))
                             cos_g = sum(a * b for a, b in zip(mx, my))
                             cos_g /= rho * mpmath.sqrt(sum(v * v for v in mx))
-                            for m in range(4):
+                            for m in range(7):
                                 cfg = KernelConfig(n, m)
                                 exact = mp_modified_poisson(mpmath, cfg, x, yp)
                                 got = modified_poisson_polar(cfg, x, float(rho), float(cos_g))
@@ -665,7 +696,7 @@ def test_polar_grid_rows_equal_one_row_calls():
     for n in (3, 4, 5):
         ax = 2.5
         x, _, _ = _polar_point(rng, n, ax)
-        rho = rng.permutation(np.append(np.geomspace(0.2, 8.0 * ax, 40), [1.0, 2.0 * ax]))
+        rho = rng.permutation(np.append(np.geomspace(0.2, 8.0 * ax, 40), [1.0, 2.0 * ax, 4.0 * ax]))
         for m in range(4):
             cfg = KernelConfig(n, m)
             grid = modified_poisson_polar(cfg, x, rho, cosg)
@@ -688,9 +719,10 @@ def test_overflowing_kernel_powers_are_domain_errors():
             modified_poisson_polar(cfg, far, 0.5, 1.0)
         # a direct-route source radius: rho^(n+m-1) = rho^5 overflows while
         # |x - y|^3 stays finite
-        with pytest.raises(DomainError, match=r"rho\^\(n\+k\)"):
-            modified_poisson_polar(cfg, x, 1.5e100, 1.0)
-        assert np.isfinite(modified_poisson_polar(cfg, x, [0.5, 3e100], 1.0)).all()
+        for rho in (1.5e100, 3e100):
+            with pytest.raises(DomainError, match=r"rho\^\(n\+k\)"):
+                modified_poisson_polar(cfg, x, rho, 1.0)
+        assert np.isfinite(modified_poisson_polar(cfg, x, [0.5, 6e100], 1.0)).all()
         # the Cartesian direct head: |y'|^(n+k) overflows for k = 1 while
         # |x - y|^3 stays finite
         with pytest.raises(DomainError, match=r"\|y\|\^\(p\+k\)"):
