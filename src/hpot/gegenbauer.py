@@ -43,27 +43,17 @@ def _check_argument(t):
 def recurrence_ladder(lam: float, kmax: int, t) -> np.ndarray:
     """All values C_0..C_kmax at ``t`` (array-valued), stacked along axis 0.
 
-    Arguments are assumed validated by the caller.  Each degree is formed in
-    its own row of the result, in the order
-    ((2(k+lam-1) t) C_{k-1} - (k+2lam-2) C_{k-2}) / k: the products
-    2(k+lam-1) t of every degree come from one outer product, and the rest
-    runs in place with one scratch buffer.
+    Arguments are assumed validated by the caller.
     """
     t = np.asarray(t, dtype=float)
     out = np.empty((kmax + 1,) + t.shape, dtype=float)
     out[0] = 1.0
     if kmax >= 1:
         out[1] = 2.0 * lam * t
-    ks = np.arange(2, kmax + 1, dtype=float)
-    np.multiply.outer(2.0 * (ks + lam - 1.0), t, out=out[2:])
-    back = ks + 2.0 * lam - 2.0
-    work = np.empty(t.shape)
     for k in range(2, kmax + 1):
-        row = out[k, ...]  # a view also when t is 0-d (out[k] would be a copy)
-        np.multiply(row, out[k - 1], out=row)
-        np.multiply(out[k - 2], back[k - 2], out=work)
-        np.subtract(row, work, out=row)
-        np.divide(row, k, out=row)
+        out[k] = (
+            2.0 * (k + lam - 1.0) * t * out[k - 1] - (k + 2.0 * lam - 2.0) * out[k - 2]
+        ) / k
     return out
 
 

@@ -17,7 +17,7 @@ they overlap:
   radius),
 * the Gegenbauer tail series starting at the first surviving degree, used
   when the source radius is at least c times the field radius: c = 4 for
-  kernels that drop at most 3 terms, 2 above (``_routes``; the comment
+  kernels that drop at most 2 terms, 2 above (``_routes``; the comment
   there gives the accuracy measured at each c).  This route is free of the
   catastrophic cancellation the closed-form difference suffers deep in the
   tail.  Each element is truncated by its own ratio q = |x|/|y|, once the
@@ -297,27 +297,27 @@ def poisson(cfg: KernelConfig, x, yp) -> float:
 # sits at |y| = 4|x|; higher orders keep it at 2|x|.  At c = 4 the tail's
 # q = |x|/|y| is at most 1/4, and the series stops by degree 34 instead of
 # 68 (lam = 3/2, order 1).  The direct route's closed form minus head
-# cancels about c^order of the value, so the wider seam costs accuracy.
-# Against mpmath at 50 digits, n = 3-5, 400 random sources per kernel and
-# order in 2|x| <= |y| < 4|x|: with c = 4 the 99th-percentile relative
-# error stayed <= 2.7e-13 for orders 1-3 (2.6e-14 with c = 2); at order 4
-# it reached 1.1e-12 for E_4 and 2.0e-12 for G_3, which drops 4 terms
-# (1.3e-14 and 1.8e-13), and one random G_3 pair read 1.5e-11 (1.8e-12),
-# above the seam oracle's 1e-11.
-_WIDE_SEAM_ORDERS = 3
+# cancels about c^order of the value, and more where the first kept term
+# nearly vanishes, so the wider seam costs accuracy; the rule is set by the
+# worst case.  Against mpmath at 50 digits, n = 3-5, sources in
+# 2|x| <= |y| < 4|x| whose cosine with x sits near a root of C_order (the
+# first kept term): orders 1-2 read at most 5.9e-12 at c = 4 (9.4e-13 at
+# c = 2), under the seam oracle's 1e-11; order 3 read 4.1e-11 for E_3 at
+# c = 4 (2.3e-13 at c = 2).
+_WIDE_SEAM_ORDERS = 2
 
 
 def _routes(ax, ay, order):
     """Masks of the tail-series sources (|y| > 1, |y| >= c|x|) and of the
     direct ones (1 < |y| < c|x|) for a kernel that drops its first ``order``
     expansion terms, c = 4 up to order ``_WIDE_SEAM_ORDERS`` and 2 above;
-    the rest keep the plain kernel."""
+    the rest keep the plain kernel, every source when ``order`` is 0."""
     c = 4.0 if order <= _WIDE_SEAM_ORDERS else 2.0
-    outer, far = ay > 1.0, ay >= c * ax
+    outer, far = (ay > 1.0) & (order > 0), ay >= c * ax
     return outer & far, outer & ~far
 
 
-def _modify(plain, lam, ax, ay, t, order, power, amp, routes=None):
+def _modify(plain, lam, ax, ay, t, order, power, amp):
     """The modified kernel from the plain kernel values, for sources with
     |y| > 1.
 
@@ -326,8 +326,7 @@ def _modify(plain, lam, ax, ay, t, order, power, amp, routes=None):
     cosines along a leading axis: one row, or two (y and its reflection y*)
     when the kernel is the difference of the two expansions.  ax, ay, amp
     and each row of t broadcast to plain's shape.  Tail sources (see
-    ``_routes``; the caller may pass the masks it already has, of plain's
-    shape) take the tail series amp |y|^-power sum_{k >= order} C_k(t) q^k;
+    ``_routes``) take the tail series amp |y|^-power sum_{k >= order} C_k(t) q^k;
     direct ones subtract the finite head from the closed form, where a power
     |x|^k or |y|^(power+k) that overflows is a DomainError."""
     if order == 0:
@@ -335,7 +334,7 @@ def _modify(plain, lam, ax, ay, t, order, power, amp, routes=None):
     shape = plain.shape
     out = plain.ravel()
     ax, ay, amp = (np.broadcast_to(a, shape).ravel() for a in (ax, ay, amp))
-    tail, direct = (np.flatnonzero(r) for r in routes or _routes(ax, ay, order))
+    tail, direct = (np.flatnonzero(r) for r in _routes(ax, ay, order))
     t = np.broadcast_to(t, t.shape[:1] + shape).reshape(len(t), -1)
     pair = len(t) == 2
     if tail.size:
@@ -405,11 +404,11 @@ def modified_poisson_values(cfg: KernelConfig, x, yps) -> np.ndarray:
     |y'| <= 1 or when the modification order is zero."""
     xs, _, shape, d2, dots, ax, ay = _pairs(x, yps, cfg.n, cfg.n - 1)
     xn = xs[:, -1:]
-    routes = _routes(ax, ay, cfg.m)
+    tail, _ = _routes(ax, ay, cfg.m)
     # the closed form of a tail source is overwritten, so it may overflow
-    out = _poisson_closed_form(cfg, xn, d2 + xn * xn, ~routes[0] if cfg.m else True)
+    out = _poisson_closed_form(cfg, xn, d2 + xn * xn, ~tail)
     t = _cos_angle(dots, ax, ay)[None]
-    out = _modify(out, 0.5 * cfg.n, ax, ay, t, cfg.m, cfg.n, 2.0 * xn / cfg.omega_n, routes)
+    out = _modify(out, 0.5 * cfg.n, ax, ay, t, cfg.m, cfg.n, 2.0 * xn / cfg.omega_n)
     return out.reshape(shape)[()]
 
 
@@ -435,7 +434,7 @@ def modified_poisson_polar(cfg: KernelConfig, x, rho, cos_gamma) -> np.ndarray:
     x_tan = math.sqrt(max(ax2 - xn * xn, 0.0))
     tail, direct = _routes(ax, rho, m)
     # the closed form only on plain and direct rows: tail rows may overflow it
-    near = ~tail if m else slice(None)
+    near = ~tail
     rn = rho[near, None]
     out = np.empty((rho.size, cos_gamma.size))
     d2 = ax2 - 2.0 * x_tan * rn * cos_gamma + squared_norms(rn, "source")[:, None]

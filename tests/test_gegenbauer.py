@@ -7,7 +7,6 @@ from hpot.gegenbauer import (
     gegenbauer_eval,
     generating_closed_form,
     generating_partial_sum,
-    recurrence_ladder,
 )
 
 LAMBDAS = (0.5, 1.0, 1.5, 2.0, 2.5)
@@ -126,30 +125,3 @@ def test_domain_errors():
         gegenbauer_eval(1.0, -1, 0.5)
     with pytest.raises(DomainError):
         gegenbauer_eval(1.0, 501, 0.5)
-
-
-def _reference_ladder(lam, kmax, t):
-    """The ladder as one expression per degree (five temporaries each)."""
-    t = np.asarray(t, dtype=float)
-    out = np.empty((kmax + 1,) + t.shape, dtype=float)
-    out[0] = 1.0
-    if kmax >= 1:
-        out[1] = 2.0 * lam * t
-    for k in range(2, kmax + 1):
-        out[k] = (
-            2.0 * (k + lam - 1.0) * t * out[k - 1] - (k + 2.0 * lam - 2.0) * out[k - 2]
-        ) / k
-    return out
-
-
-def test_ladder_matches_the_per_degree_expression():
-    # the in-place ladder keeps the expression's operation order: the same
-    # bits, for 0-d, 1-d and 2-d t
-    rng = np.random.default_rng(41)
-    for case in range(500):
-        lam, kmax = rng.uniform(0.1, 4.0), int(rng.integers(0, 70))
-        shape = ((), (int(rng.integers(0, 40)),), (3, int(rng.integers(1, 9))))[case % 3]
-        t = rng.uniform(-1.0, 1.0, shape)
-        got, ref = recurrence_ladder(lam, kmax, t), _reference_ladder(lam, kmax, t)
-        assert got.shape == ref.shape and np.array_equal(got, ref), (lam, kmax, shape)
-    assert np.array_equal(recurrence_ladder(1.5, 5, 0.3), _reference_ladder(1.5, 5, 0.3))
