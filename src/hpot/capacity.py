@@ -35,6 +35,8 @@ HALFSPACE = "halfspace"
 # LP one unblocked update ran 30% slower and raised the tracemalloc peak
 # from 20 to 24 MB
 _BLOCK_ELEMENTS = 2**16
+# a column enters the dual basis while its reduced cost exceeds 1e-3 of this
+_LP_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -82,7 +84,7 @@ def _eliminate(T, r, j, scratch):
         T[blk] -= s
 
 
-def lp_solve(lp: LPInstance, tol: float = 1e-9) -> LPSolution:
+def lp_solve(lp: LPInstance) -> LPSolution:
     """Solve the covering LP; raises InfeasibleError when a constraint row
     has no positive entry (no g can satisfy it)."""
     A, c = lp.A, lp.c
@@ -109,7 +111,7 @@ def lp_solve(lp: LPInstance, tol: float = 1e-9) -> LPSolution:
     stall = 0
     for it in range(200 * (m + k + 10)):
         use_bland = stall > 2 * (m + k)
-        enterable = np.where(red > tol * 1e-3)[0]
+        enterable = np.where(red > _LP_TOL * 1e-3)[0]
         if enterable.size == 0:
             break
         if use_bland:
@@ -143,9 +145,9 @@ def lp_solve(lp: LPInstance, tol: float = 1e-9) -> LPSolution:
     g = np.maximum(-red[m : m + k], 0.0)
 
     # defensive consistency: primal feasibility and matching objectives
-    if m and np.any(A @ g < 1.0 - max(tol, 1e-7) * max(1.0, float(np.abs(A @ g).max()))):
+    if m and np.any(A @ g < 1.0 - 1e-7 * max(1.0, float(np.abs(A @ g).max()))):
         raise NumericalError("recovered primal point violates constraints")
-    if abs(float(c @ g) - value) > max(tol, 1e-7) * max(1.0, abs(value)):
+    if abs(float(c @ g) - value) > 1e-7 * max(1.0, abs(value)):
         raise NumericalError("primal/dual objective mismatch")
     return LPSolution(g, float(value), y)
 
@@ -237,8 +239,8 @@ class CapacityProblem:
         return LPInstance(c=self.weights.copy(), A=kern * self.weights[None, :])
 
 
-def capacity(problem: CapacityProblem, tol: float = 1e-9) -> float:
-    return lp_solve(problem.lp_instance(), tol).value
+def capacity(problem: CapacityProblem) -> float:
+    return lp_solve(problem.lp_instance()).value
 
 
 # ---------------------------------------------------------------------------

@@ -74,14 +74,6 @@ class Point:
     def norm(self) -> float:
         return float(stable_norm(self.coords))
 
-    def is_interior(self) -> bool:
-        return self.height > 0.0
-
-    def require_interior(self):
-        if not self.is_interior():
-            raise DomainError(f"point with height {self.height} is not interior")
-        return self
-
 
 @dataclass(frozen=True)
 class BoundaryPoint:
@@ -101,10 +93,6 @@ class BoundaryPoint:
 
     def norm(self) -> float:
         return float(stable_norm(self.coords))
-
-    def embed(self) -> Point:
-        """The same point seen inside R^n, at height zero."""
-        return Point(np.append(self.coords, 0.0))
 
 
 @dataclass(frozen=True)

@@ -105,58 +105,45 @@ def _tail_thresholds(lam, k_start, cap=_SERIES_CAP):
     return thresholds
 
 
-def gegenbauer_tail_sum(lam, t, q, k_start, cap=_SERIES_CAP):
+def gegenbauer_tail_sum(lam, t, q, k_start):
     """sum_{k >= k_start} C_k^lam(t) * q^k, elementwise over broadcast t, q.
 
     Intended for 0 <= q <= 0.5 (geometric decay).  Each element is truncated
     by its own q: degree k >= k_start + 2 is added only while the previous
     term's envelope C_{k-1}^lam(1) * q^(k-1-k_start) is at least 1e-17 of the
-    leading scale C_{k_start}^lam(1); no degree above ``cap`` is used, and an
-    element with q = 0 keeps only its leading term.
+    leading scale C_{k_start}^lam(1); no degree above ``_SERIES_CAP`` is used,
+    and an element with q = 0 keeps only its leading term.
 
     The terms d_k = C_k(t) q^k follow the three-term recurrence with q
     folded in, k d_k = 2(k+lam-1) (tq) d_{k-1} - (k+2lam-2) q^2 d_{k-2}.
-    q is sorted once by descending value (also when it broadcasts against
-    leading axes of t, such as the pair t, t* of the Green function), so the
-    elements still active at a degree form a prefix that shrinks as the
-    degree grows; the recurrence updates that prefix in place.  The rows of
-    those leading axes are interleaved in one flat buffer (element j of row
-    r at j*rows + r), so a prefix is one contiguous slice.
+    Sorted once by descending q, the raveled elements still active at a
+    degree form a prefix, shrinking with the degree and updated in place.
     """
-    t = np.asarray(t, dtype=float)
-    q = np.asarray(q, dtype=float)
-    shape = np.broadcast_shapes(t.shape, q.shape)
-    while q.ndim and q.shape[0] == 1:
-        q = q[0]
-    lead = shape[: len(shape) - q.ndim]
-    q_all = np.broadcast_to(q, shape[len(lead):]).ravel()
-    order = np.argsort(q_all)[::-1]
-    qs = q_all[order]
+    t, q = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(q, dtype=float))
+    shape, q = t.shape, q.ravel()
+    order = np.argsort(q)[::-1]
+    qs = q[order]
     size = qs.size
 
-    # active prefix length at degrees k_start+1 .. cap
-    counts = size - np.searchsorted(qs[::-1], _tail_thresholds(lam, k_start, cap))
+    # active prefix length at degrees k_start+1 .. _SERIES_CAP
+    counts = size - np.searchsorted(qs[::-1], _tail_thresholds(lam, k_start))
     counts = counts[: np.count_nonzero(counts)].tolist()
     last = k_start + len(counts)
 
-    rows = math.prod(lead)
-    tq = np.broadcast_to(t, shape).reshape(rows, size).T[order].ravel()
-    q2 = np.repeat(qs, rows)
-    tq *= q2
-    q2 *= q2
-    total = np.full(tq.size, 0.0 if k_start else 1.0)
-    work = np.empty(tq.size)
-    # d_{k-2}, d_{k-1} and the other arrays, cut to the active prefix of p
-    # elements (p * rows entries)
-    p, older, newer = size, np.ones(tq.size), 2.0 * lam * tq
+    tq = t.ravel()[order]
+    tq *= qs
+    q2 = np.multiply(qs, qs, out=qs)
+    total = np.full(size, 0.0 if k_start else 1.0)
+    work = np.empty(size)
+    # d_{k-2}, d_{k-1} and the other arrays, cut to the active prefix of p elements
+    p, older, newer = size, np.ones(size), 2.0 * lam * tq
     tq_p, q2_p, total_p, work_p = tq, q2, total, work
     mul = np.multiply
     for k in range(1, last + 1):
         if k > k_start and counts[k - k_start - 1] != p:
             p = counts[k - k_start - 1]
-            e = p * rows
-            tq_p, q2_p, total_p, work_p = tq[:e], q2[:e], total[:e], work[:e]
-            older, newer = older[:e], newer[:e]
+            tq_p, q2_p, total_p, work_p = tq[:p], q2[:p], total[:p], work[:p]
+            older, newer = older[:p], newer[:p]
         # ufunc calls with out=: cheaper per call than in-place operators
         if k >= 2:
             mul(older, q2_p, out=older)
@@ -167,9 +154,8 @@ def gegenbauer_tail_sum(lam, t, q, k_start, cap=_SERIES_CAP):
             older, newer = newer, older
         if k >= k_start:
             np.add(total_p, newer, out=total_p)
-    out = work.reshape(rows, size)
-    out[:, order] = total.reshape(size, rows).T
-    return out.reshape(shape)
+    work[order] = total
+    return work.reshape(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -274,18 +260,8 @@ def _poisson_closed_form(cfg, xn, d2, where=True):
     return 2.0 * xn / (cfg.omega_n * _finite_powers(d2, 0.5 * cfg.n, "|x - y|^n", where))
 
 
-def poisson_values(cfg: KernelConfig, x, yps) -> np.ndarray:
-    """Poisson kernel 2 x_n / (omega_n |x - (y',0)|^n) over a batch of
-    boundary points yps with shape (..., n-1)."""
-    xs, _, shape, d2, _, _, _ = _pairs(x, yps, cfg.n, cfg.n - 1)
-    xn = xs[:, -1:]
-    return _poisson_closed_form(cfg, xn, d2 + xn * xn).reshape(shape)[()]
-
-
 def poisson(cfg: KernelConfig, x, yp) -> float:
-    cx = _interior_coords(cfg, x)
-    cyp = _boundary_coords(cfg, yp)
-    return float(poisson_values(cfg, cx, cyp))
+    return modified_poisson(KernelConfig(cfg.n), x, yp)
 
 
 # ---------------------------------------------------------------------------

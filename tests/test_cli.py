@@ -7,6 +7,7 @@ import warnings
 import pytest
 
 from hpot.cli import main
+from hpot.kernels import KernelConfig, modified_poisson, poisson
 
 MU = {"dimension": 3, "atoms": [{"point": [0.0, 0.0, 4.0], "mass": 1.0}]}
 ATOMS = {"dimension": 2, "kind": "atoms", "atoms": [{"point": [0.0, 0.0], "mass": 1.0}]}
@@ -25,6 +26,20 @@ def test_kernel_poisson_value(capsys):
     assert code == 0
     assert json.loads(out) == {"value": pytest.approx(1 / (2 * math.pi), rel=1e-15)}
     assert out.startswith('{"value":0.15915494309189535}')
+
+
+def test_kernel_plain_poisson_ignores_the_order(capsys):
+    # a source at |y'| = 5|x| takes the tail route of P_2, but P is the plain
+    # closed form 2 x_n / (omega_3 |x - y'|^3) at every order
+    plain = 1 / (2 * math.pi * 26**1.5)
+    cfg = KernelConfig(3, 2)
+    assert poisson(cfg, [0, 0, 1], [5, 0]) == pytest.approx(plain, rel=1e-14)
+    assert modified_poisson(cfg, [0, 0, 1], [5, 0]) != pytest.approx(plain, rel=1e-3)
+    code, out, _ = run_cli(
+        capsys, "kernel", "--kind", "P", "--n", "3", "--m", "2", "--x", "0,0,1", "--yp", "5,0"
+    )
+    assert code == 0
+    assert json.loads(out) == {"value": pytest.approx(plain, rel=1e-14)}
 
 
 def test_kernel_boundary_green_zero(capsys):
