@@ -24,14 +24,7 @@ from .capacity import (
     thinness_series,
     window_nodes,
 )
-from .errors import (
-    DomainError,
-    HpotError,
-    InfeasibleError,
-    IntegrabilityError,
-    NumericalError,
-    SchemaError,
-)
+from .errors import HpotError, IntegrabilityError, SchemaError
 from .exceptional import (
     CoveringResult,
     GrowthParams,
@@ -53,7 +46,6 @@ from .kernels import (
 from .measures import AtomicMeasure, BoundaryData
 from .potentials import (
     PotentialField,
-    check_thread_env,
     eval_dirichlet,
     eval_green_potential,
     eval_superposition,
@@ -218,7 +210,6 @@ def cmd_potential(args) -> int:
     measure_path = args.measure if args.kind != "dirichlet" else None
     cfg, vf, hf = _load_fields(args, data_path, measure_path)
     pts = read_points_csv(_read_text_file(args.points, "points"), cfg.n)
-    check_thread_env()
     if args.kind == "dirichlet":
         values = eval_dirichlet(vf, pts)
     elif args.kind == "green":
@@ -410,9 +401,6 @@ def main(argv=None) -> int:
             payload["report"] = exc.report.to_json_dict()
         sys.stderr.write(render_json(payload) + "\n")
         return EXIT_CONDITION
-    except (DomainError, InfeasibleError, NumericalError) as exc:
-        sys.stderr.write(_error_json(exc.code, exc))
-        return EXIT_DOMAIN
     except HpotError as exc:
         sys.stderr.write(_error_json(exc.code, exc))
         return EXIT_DOMAIN

@@ -8,9 +8,10 @@ Piecewise definitions (plain kernel for sources inside the unit ball) are
 kept exactly; the jump across the unit sphere is measure zero and accepted.
 
 The Cartesian modified kernels (E_m, G_m and P_m) compute their plain
-closed form and hand it to one route helper, ``_modify``, which picks per
-element between three routes that agree to near machine precision where
-they overlap:
+closed form, which at m = 0 is their value (G_0 drops only C_0, which
+cancels between y and its reflection).  Above, they hand it to one route
+helper, ``_modify``, which picks per element between three routes that
+agree to near machine precision where they overlap:
 
 * the plain closed form (sources inside the closed unit ball),
 * closed form minus the finite head of the expansion (sources at moderate
@@ -295,7 +296,7 @@ def _routes(ax, ay, order):
 
 def _modify(plain, lam, ax, ay, t, order, power, amp):
     """The modified kernel from the plain kernel values, for sources with
-    |y| > 1.
+    |y| > 1 and order >= 1.
 
     The plain kernel expands as amp * sum_k C_k^lam(t) |x|^k / |y|^(power+k);
     the modified kernel drops its first ``order`` terms.  ``t`` stacks the
@@ -305,8 +306,6 @@ def _modify(plain, lam, ax, ay, t, order, power, amp):
     ``_routes``) take the tail series amp |y|^-power sum_{k >= order} C_k(t) q^k;
     direct ones subtract the finite head from the closed form, where a power
     |x|^k or |y|^(power+k) that overflows is a DomainError."""
-    if order == 0:
-        return plain
     shape = plain.shape
     out = plain.ravel()
     ax, ay, amp = (np.broadcast_to(a, shape).ravel() for a in (ax, ay, amp))
@@ -339,8 +338,9 @@ def modified_fundamental_values(cfg: KernelConfig, x, ys) -> np.ndarray:
     if np.any(d2 == 0.0):
         raise SingularityError("modified fundamental solution evaluated at x = y")
     out = -cfg.r_n * d2 ** (0.5 * (2 - cfg.n))
-    t = _cos_angle(dots, ax, ay)[None]
-    out = _modify(out, 0.5 * (cfg.n - 2), ax, ay, t, cfg.m, cfg.n - 2, -cfg.r_n)
+    if cfg.m:
+        t = _cos_angle(dots, ax, ay)[None]
+        out = _modify(out, 0.5 * (cfg.n - 2), ax, ay, t, cfg.m, cfg.n - 2, -cfg.r_n)
     return out.reshape(shape)[()]
 
 
@@ -357,12 +357,15 @@ def modified_green_values(cfg: KernelConfig, x, ys) -> np.ndarray:
 
     Sources inside the closed unit ball reduce to the plain Green function
     (both correction sums cancel since |y*| = |y|), and the value vanishes
-    identically for boundary sources."""
+    identically for boundary sources.  At m = 0 the one dropped term, C_0,
+    cancels between y and y*, so G_0 is the plain Green function for every
+    source, exactly symmetric in x and y."""
     xs, ys, shape, d2, dots, ax, ay = _pairs(x, ys, cfg.n, cfg.n)
     xn, yn = xs[:, -1:], ys[:, -1]
     out = _green_closed_form(cfg, d2, 4.0 * xn * yn)
-    t = np.stack([_cos_angle(dots, ax, ay), _cos_angle(dots - 2.0 * yn * xn, ax, ay)])
-    out = _modify(out, 0.5 * (cfg.n - 2), ax, ay, t, cfg.m + 1, cfg.n - 2, -cfg.r_n)
+    if cfg.m:
+        t = np.stack([_cos_angle(dots, ax, ay), _cos_angle(dots - 2.0 * yn * xn, ax, ay)])
+        out = _modify(out, 0.5 * (cfg.n - 2), ax, ay, t, cfg.m + 1, cfg.n - 2, -cfg.r_n)
     return out.reshape(shape)[()]
 
 
@@ -380,6 +383,8 @@ def modified_poisson_values(cfg: KernelConfig, x, yps) -> np.ndarray:
     |y'| <= 1 or when the modification order is zero."""
     xs, _, shape, d2, dots, ax, ay = _pairs(x, yps, cfg.n, cfg.n - 1)
     xn = xs[:, -1:]
+    if cfg.m == 0:
+        return _poisson_closed_form(cfg, xn, d2 + xn * xn).reshape(shape)[()]
     tail, _ = _routes(ax, ay, cfg.m)
     # the closed form of a tail source is overwritten, so it may overflow
     out = _poisson_closed_form(cfg, xn, d2 + xn * xn, ~tail)

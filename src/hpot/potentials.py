@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 import os
-import pickle
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable
@@ -48,7 +47,6 @@ from .measures import (
 from .quadrature import inverted_tail_rule, panel_nodes, refined_breakpoints, unit_sphere_area
 
 _QUAD_TARGET = 1e-8
-_NEAR_BOUNDARY = 1e-6
 # point-source pairs per kernel block: large enough to spread the per-call
 # cost of the tail series; on the superposition benchmark 2^16 ran no faster
 # and raised the peak resident set from 44 to 52 MB
@@ -123,27 +121,13 @@ def _pin(cores):
         pass
 
 
-def _send_slice(fn, rows, wfd, core):
-    """Body of a forked child: pickle (True, fn(rows)) or (False, the
-    exception) into the pipe and leave through os._exit, so nothing of the
-    parent's (buffers, exit handlers) runs twice."""
-    global _in_child
-    _in_child = True
-    try:
-        _pin({core})
-        try:
-            msg = (True, fn(rows))
-        except BaseException as exc:  # re-raised by the parent
-            msg = (False, exc)
-        with os.fdopen(wfd, "wb") as fh:
-            fh.write(pickle.dumps(msg, pickle.HIGHEST_PROTOCOL))
-    finally:
-        os._exit(0)
-
-
 def _fork_slice(fn, rows, core):
-    """(pid, read end) of a forked child computing fn(rows) on ``core``, or
-    None when no pipe or no process could be had."""
+    """(pid, read end) of a forked child that writes fn(rows), computed on
+    ``core``, as raw float64 bytes, or None when no pipe or no process could
+    be had.  A child that raises writes nothing.  It leaves through
+    os._exit, so nothing of the parent's (buffers, exit handlers) runs
+    twice."""
+    global _in_child
     try:
         rfd, wfd = os.pipe()
     except OSError:
@@ -159,24 +143,29 @@ def _fork_slice(fn, rows, core):
         os.close(wfd)
         return None
     if pid == 0:
-        os.close(rfd)
-        _send_slice(fn, rows, wfd, core)  # does not return
+        try:
+            _in_child = True
+            os.close(rfd)
+            _pin({core})
+            values = np.asarray(fn(rows), dtype=float).tobytes()
+            with os.fdopen(wfd, "wb") as fh:
+                fh.write(values)
+        finally:
+            os._exit(0)
     os.close(wfd)
     return pid, rfd
 
 
-def _receive_slice(pid, rfd):
-    """The message of one child, or None when it sent none (it died, or its
-    result did not pickle); the child is reaped either way."""
+def _receive_slice(pid, rfd, rows):
+    """The values one child sent for ``rows``, or None unless it sent
+    exactly one float64 per row (it raised, died or was cut short); the
+    child is reaped either way."""
     try:
         with os.fdopen(rfd, "rb") as fh:
             data = fh.read()
     finally:
         os.waitpid(pid, 0)
-    try:
-        return pickle.loads(data) if data else None
-    except (pickle.UnpicklingError, EOFError):  # cut short by the child's death
-        return None
+    return np.frombuffer(data) if len(data) == 8 * len(rows) else None
 
 
 def _forked_rows(fn, pts, step, work):
@@ -186,12 +175,12 @@ def _forked_rows(fn, pts, step, work):
     pts is cut into W contiguous slices at multiples of ``step`` rows, W =
     min(usable cores, blocks of ``step`` rows, work // _FORK_MIN_WORK).
     This process computes the first slice; each other slice runs in a
-    forked child that returns its result, or the exception it raised,
-    through a pipe.  A slice whose child sent nothing (or could not be
-    forked) is computed here.  Each slice is then evaluated as in the one
-    call fn(pts), block for block when ``step`` is fn's block size, so the
-    values are the same bytes, and the first error in row order is the one
-    that call raises.  Every child is reaped, and this process's affinity
+    forked child that returns its values through a pipe.  A slice whose
+    child sent no values (it raised or died, or could not be forked) is
+    computed here.  Each slice is evaluated as in the one call fn(pts),
+    block for block when ``step`` is fn's block size, so the values are the
+    same bytes, and the first error in row order is the one that call
+    raises, here.  Every child is reaped, and this process's affinity
     restored, before this returns or raises.
     """
     cores = _usable_cores()
@@ -207,16 +196,12 @@ def _forked_rows(fn, pts, step, work):
             children.append(_fork_slice(fn, rows, core))
         _pin({cores[0]})
         parts = [fn(slices[0])]
-        for i, child in enumerate(children):
-            msg = None
+        for i, (child, rows) in enumerate(zip(children, slices[1:])):
+            part = None
             if child is not None:
                 children[i] = None
-                msg = _receive_slice(*child)
-            if msg is None:
-                msg = (True, fn(slices[i + 1]))
-            if not msg[0]:
-                raise msg[1]
-            parts.append(msg[1])
+                part = _receive_slice(*child, rows)
+            parts.append(fn(rows) if part is None else part)
     finally:
         _pin(set(cores))
         # after an error, the children still running hold only later rows
@@ -275,29 +260,25 @@ def eval_dirichlet(fieldobj: PotentialField, x):
         return _atom_sum(
             fieldobj.cfg, x, modified_poisson_values, data.points, data.weights
         )
-    if np.ndim(x) < 2:
-        return eval_dirichlet_detailed(fieldobj, x)[0]
-    pts, _ = _eval_points(fieldobj.cfg, x)
+    pts, single = _eval_points(fieldobj.cfg, x)
 
     def point_values(rows):
         return batch_evaluate(lambda p: eval_dirichlet_detailed(fieldobj, p)[0], rows)
 
-    return _forked_rows(point_values, pts, 1, len(pts) * _QUAD_POINT_WORK)
+    out = _forked_rows(point_values, pts, 1, len(pts) * _QUAD_POINT_WORK)
+    return float(out[0]) if single else out
 
 
 def eval_dirichlet_detailed(fieldobj: PotentialField, x):
-    """Value of the Poisson integral at one point x plus quadrature metadata."""
+    """Value of the Poisson integral at one point x and its metadata: the
+    quadrature's {rel_err_estimate, converged} for family data, {} for
+    atoms."""
     data = _expect(fieldobj, "dirichlet")
     cfg = fieldobj.cfg
     pts, _ = _eval_points(cfg, as_coords(x, cfg.n))
-    cx = pts[0]
-    meta = {"near_boundary": bool(cx[-1] < _NEAR_BOUNDARY)}
     if data.kind == "atoms":
-        value = _atom_sum(cfg, cx, modified_poisson_values, data.points, data.weights)
-        return value, meta
-    value, quad_meta = _radial_family_quadrature(cfg, cx, data)
-    meta.update(quad_meta)
-    return value, meta
+        return _atom_sum(cfg, pts[0], modified_poisson_values, data.points, data.weights), {}
+    return _radial_family_quadrature(cfg, pts[0], data)
 
 
 def eval_green_potential(fieldobj: PotentialField, x):
@@ -412,23 +393,6 @@ def _radial_family_quadrature(cfg, cx, data: BoundaryData):
 # ---------------------------------------------------------------------------
 # batch evaluation and the CSV contract
 # ---------------------------------------------------------------------------
-
-
-def check_thread_env():
-    """HPOT_THREADS, when set, must be a positive integer; its value changes
-    nothing.  A large block is spread over the cores of this process's
-    affinity (os.sched_getaffinity), one forked process each, and gives the
-    bytes of a one-process run; an affinity of one core (taskset, or
-    os.sched_setaffinity) is the one-process run."""
-    raw = os.environ.get("HPOT_THREADS")
-    if raw is None:
-        return
-    try:
-        v = int(raw)
-    except ValueError:
-        v = 0
-    if v < 1:
-        raise DomainError(f"HPOT_THREADS must be a positive integer, got {raw!r}")
 
 
 def batch_evaluate(fn: Callable, points: np.ndarray) -> np.ndarray:

@@ -116,25 +116,6 @@ def test_potential_superposition_batch(tmp_path, capsys):
     assert code == 64 and json.loads(err)["code"] == "usage"
 
 
-def test_thread_cap_env(tmp_path, capsys, monkeypatch):
-    data = tmp_path / "atoms.json"
-    data.write_text(json.dumps(ATOMS))
-    pts = tmp_path / "pts.csv"
-    pts.write_text("x_1,x_2,x_3\n0,0,1\n0,0,2\n0,0,3\n")
-    out1 = tmp_path / "o1.csv"
-    out2 = tmp_path / "o2.csv"
-    args = ["potential", "--kind", "dirichlet", "--data", str(data),
-            "--points", str(pts), "--n", "3", "--m", "0"]
-    monkeypatch.setenv("HPOT_THREADS", "3")
-    assert run_cli(capsys, *args, "--out", str(out1))[0] == 0
-    monkeypatch.delenv("HPOT_THREADS")
-    assert run_cli(capsys, *args, "--out", str(out2))[0] == 0
-    assert out1.read_bytes() == out2.read_bytes()
-    monkeypatch.setenv("HPOT_THREADS", "zero")
-    code, _, err = run_cli(capsys, *args)
-    assert code == 2 and json.loads(err)["code"] == "domain"
-
-
 @pytest.mark.parametrize("kind", ["dirichlet", "green", "superposition"])
 def test_potential_below_boundary_is_domain_error(tmp_path, capsys, kind):
     data = tmp_path / "atoms.json"

@@ -206,3 +206,19 @@ def test_slices_are_cut_at_whole_blocks_and_lost_children_recomputed(cores):
     assert got.tolist() == [1.0] * 23
     assert cores.forks == 3
     assert _no_children_left()
+
+
+def test_a_slice_whose_child_raises_is_computed_here(cores):
+    cores.set(2)
+    parent = os.getpid()
+    pts = np.arange(69.0).reshape(23, 3)
+
+    def raises_in_child(rows):
+        if os.getpid() != parent:
+            raise ValueError("raised in the child only")
+        return rows[:, 0] * 0.5 + rows[:, 2]
+
+    got = potentials._forked_rows(raises_in_child, pts, 5, 2 * potentials._FORK_MIN_WORK)
+    assert cores.forks == 1
+    assert np.array_equal(got, raises_in_child(pts))
+    assert _no_children_left()

@@ -273,14 +273,6 @@ def test_family_harmonicity():
         assert laplacian_residual(lambda z: eval_dirichlet(vf, z), x, h) <= 1e-6
 
 
-def test_near_boundary_flag():
-    vf = dirichlet_field(C31, BoundaryData.gaussian_bump(2, 1.0, 1.0))
-    _, meta = eval_dirichlet_detailed(vf, [0.0, 0.0, 1e-7])
-    assert meta["near_boundary"]
-    _, meta = eval_dirichlet_detailed(vf, [0.0, 0.0, 0.5])
-    assert not meta["near_boundary"]
-
-
 def test_csv_contract_roundtrip():
     pts = np.array([[0.0, 0.0, 1.0], [0.25, -1.5, 2.0]])
     text = values_csv(pts, [1.5, -2.25])

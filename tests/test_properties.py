@@ -7,7 +7,13 @@ from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from hypothesis.extra import numpy as hnp  # noqa: E402
 
-from hpot.kernels import KernelConfig, modified_green_values, modified_poisson_values  # noqa: E402
+from hpot.kernels import (  # noqa: E402
+    KernelConfig,
+    green,
+    modified_green,
+    modified_green_values,
+    modified_poisson_values,
+)
 from hpot.measures import AtomicMeasure, BoundaryData  # noqa: E402
 from hpot.potentials import (  # noqa: E402
     dirichlet_field,
@@ -103,3 +109,27 @@ def test_block_sums_are_invariant_under_a_permutation_of_the_points(problem, ran
     tol = 2 * EPS * len(weights) * (pk + gk)
     values = eval_superposition(vf, hf, pts)
     assert np.all(np.abs(eval_superposition(vf, hf, pts[perm]) - values[perm]) <= tol[perm])
+
+
+@st.composite
+def half_space_points(draw, n):
+    """A point of the upper half-space with |x| = 10^a, a in [-2, 2], and
+    height x_n/|x| = 10^b, b in [-6, 0]."""
+    u = draw(_coords(n - 1, -1.0, 1.0))
+    assume(np.linalg.norm(u) > 0.1)
+    radius = 10.0 ** draw(st.floats(-2.0, 2.0))
+    height = 10.0 ** draw(st.floats(-6.0, 0.0))
+    tangential = u / np.linalg.norm(u) * (radius * np.sqrt(1.0 - height * height))
+    return np.append(tangential, radius * height)
+
+
+@PROPERTY
+@given(st.integers(3, 5), st.data())
+def test_order_zero_green_is_symmetric_and_plain(n, data):
+    cfg = KernelConfig(n, 0)
+    x, y = data.draw(half_space_points(n)), data.draw(half_space_points(n))
+    assume(not np.array_equal(x, y))
+    g = modified_green(cfg, x, y)
+    assert g == modified_green(cfg, y, x)
+    # green sums |x - y|^2 in another order: a few eps apart
+    assert abs(g - green(cfg, x, y)) <= 4 * EPS * abs(g)
