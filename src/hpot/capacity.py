@@ -14,9 +14,15 @@ rarefiedness capacity.
 
 The LP solver is a dense reference implementation: because c >= 0 the dual
 ``max 1.y  s.t.  A^T y <= c, y >= 0`` starts feasible at y = 0, so a plain
-full-tableau simplex needs no phase one; the primal minimizer is read off
-the optimal slack reduced costs.  Sizes here are desk-scale, and tests pit
-the solver against exhaustive vertex enumeration.
+tableau simplex needs no phase one; the primal minimizer is read off the
+optimal slack reduced costs.  The slack block of the tableau is the basis
+inverse (product form, Dantzig & Orchard-Hays 1954): slack column i stays
+the unit vector e_i, with reduced cost 0, until row i is a pivot row, since
+every other pivot subtracts multiples of a row whose entry there is 0.  So
+the tableau stores [A^T | c] and appends a row's slack column only when that
+row first pivots; the pivots, and every stored value, are those of the full
+tableau bit for bit.  Sizes here are desk-scale, and tests pit the solver
+against exhaustive vertex enumeration and the full tableau.
 """
 from __future__ import annotations
 
@@ -35,6 +41,8 @@ HALFSPACE = "halfspace"
 # LP one unblocked update ran 30% slower and raised the tracemalloc peak
 # from 20 to 24 MB
 _BLOCK_ELEMENTS = 2**16
+# slack columns stored before the tableau first grows (it doubles)
+_SLACK_ROOM = 32
 # a column enters the dual basis while its reduced cost exceeds 1e-3 of this
 _LP_TOL = 1e-9
 
@@ -96,17 +104,22 @@ def lp_solve(lp: LPInstance) -> LPSolution:
         bad = int(np.argmax(row_max <= 0.0))
         raise InfeasibleError(f"constraint row {bad} has no positive entry")
 
-    # dual tableau: rows = k constraints A^T y + s = c, columns = y | s | rhs
-    T = np.zeros((k, m + k + 1))
+    # dual tableau: rows = k constraints A^T y + s = c.  Columns 0..m-1 of
+    # the full tableau [A^T | I_k | c] hold y and m..m+k-1 the slacks; slack
+    # m+i stays e_i until row i pivots, so only [A^T | c] is stored, and a
+    # row's slack column is appended the first time it pivots
+    room = min(k, _SLACK_ROOM)
+    T = np.zeros((k, m + 1 + room))
     T[:, :m] = A.T
-    T[:, m : m + k] = np.eye(k)
-    T[:, -1] = c
+    T[:, m] = c
+    width = m + 1  # stored columns: y | rhs | slacks of pivoted rows
+    slot = {}  # stored column of slack m+i by row i, in stored order
     red = np.zeros(m + k)
     red[:m] = 1.0  # reduced costs of a maximization, start at obj - 0
     value = 0.0
     basis = list(range(m, m + k))
 
-    scratch = np.empty((max(1, _BLOCK_ELEMENTS // T.shape[1]), T.shape[1]))
+    buf = np.empty(max(_BLOCK_ELEMENTS, m + 1 + k))
     piv_tol = 1e-11
     stall = 0
     for it in range(200 * (m + k + 10)):
@@ -118,21 +131,35 @@ def lp_solve(lp: LPInstance) -> LPSolution:
             j = int(enterable[0])
         else:
             j = int(enterable[np.argmax(red[enterable])])
-        col = T[:, j]
+        # an unstored slack has reduced cost 0 and never enters
+        jc = j if j < m else slot[j - m]
+        col = T[:, jc]
         pos = col > piv_tol
         if not np.any(pos):
             raise NumericalError("dual unbounded despite feasibility pre-check")
         ratios = np.full(k, np.inf)
-        ratios[pos] = T[pos, -1] / col[pos]
+        ratios[pos] = T[pos, m] / col[pos]
         rmin = ratios.min()
         ties = np.where(ratios <= rmin * (1 + 1e-12) + 1e-300)[0]
         r = int(min(ties, key=lambda i: basis[i])) if use_bland else int(ties[0])
-        piv = T[r, j]
-        T[r] /= piv
-        _eliminate(T, r, j, scratch)
-        gain = red[j] * T[r, -1]
+        if r not in slot:
+            if width == T.shape[1]:
+                room = min(k, 2 * room)
+                T = np.concatenate([T, np.zeros((k, m + 1 + room - width))], axis=1)
+            T[r, width] = 1.0
+            slot[r] = width
+            width += 1
+        S = T[:, :width]
+        scratch_rows = max(1, _BLOCK_ELEMENTS // width)
+        scratch = buf[: scratch_rows * width].reshape(scratch_rows, width)
+        piv = S[r, jc]
+        S[r] /= piv
+        _eliminate(S, r, jc, scratch)
+        red_j = red[j]
+        gain = red_j * S[r, m]
         value += gain
-        red = red - red[j] * T[r, :-1]
+        red[:m] -= red_j * S[r, :m]
+        red[m + np.fromiter(slot, int, len(slot))] -= red_j * S[r, m + 1 :]
         basis[r] = j
         stall = 0 if gain > 1e-13 * (1.0 + abs(value)) else stall + 1
     else:
@@ -141,11 +168,12 @@ def lp_solve(lp: LPInstance) -> LPSolution:
     y = np.zeros(m)
     for i, b in enumerate(basis):
         if b < m:
-            y[b] = T[i, -1]
+            y[b] = T[i, m]
     g = np.maximum(-red[m : m + k], 0.0)
 
     # defensive consistency: primal feasibility and matching objectives
-    if m and np.any(A @ g < 1.0 - 1e-7 * max(1.0, float(np.abs(A @ g).max()))):
+    Ag = A @ g
+    if np.any(Ag < 1.0 - 1e-7 * max(1.0, float(np.abs(Ag).max()))):
         raise NumericalError("recovered primal point violates constraints")
     if abs(float(c @ g) - value) > 1e-7 * max(1.0, abs(value)):
         raise NumericalError("primal/dual objective mismatch")
@@ -221,18 +249,26 @@ class CapacityProblem:
         object.__setattr__(self, "weights", w)
 
     def kernel_matrix(self) -> np.ndarray:
+        """K(x_j, node_i) as a (points, nodes) array.  The squared distances
+        are summed one coordinate at a time into one buffer, in the order of
+        a sum over the coordinate axis, so no (points, nodes, n) array is
+        formed."""
         n = self.cfg.n
+        e, nodes = self.e_points, self.nodes
+        d2, tmp = (np.zeros((len(e), len(nodes))) for _ in range(2))
+        for j in range(nodes.shape[1]):
+            np.subtract(e[:, j, None], nodes[:, j], out=tmp)
+            tmp *= tmp
+            d2 += tmp
         if self.kind == BOUNDARY:
-            diff = self.e_points[:, None, :-1] - self.nodes[None, :, :]
-            d2 = np.sum(diff * diff, axis=-1) + self.e_points[:, None, -1] ** 2
+            d2 += e[:, -1, None] ** 2
             power = n
         else:
-            diff = self.e_points[:, None, :] - self.nodes[None, :, :]
-            d2 = np.sum(diff * diff, axis=-1)
             power = n - 1
         if np.any(d2 == 0.0):
             raise DomainError("a constraint point coincides with a window node")
-        return d2 ** (-0.5 * power)
+        d2 **= -0.5 * power
+        return d2
 
     def lp_instance(self) -> LPInstance:
         kern = self.kernel_matrix()
@@ -292,7 +328,7 @@ def shell_samples(membership, i: int, cfg: KernelConfig, count: int) -> np.ndarr
     r = np.sqrt(np.sum(box * box, axis=-1))
     keep = (r >= lo) & (r < hi) & (box[:, -1] > 0.0)
     pts = box[keep]
-    flags = np.array([bool(membership(p)) for p in pts])
+    flags = np.array([bool(membership(p)) for p in pts], dtype=bool)
     return pts[flags][:count]
 
 
@@ -306,16 +342,20 @@ def window_nodes(kind: str, i: int, cfg: KernelConfig, count: int):
     continuum quantities up to the common discretization error."""
     n = cfg.n
     d = n - 1 if kind == BOUNDARY else n
-    lo, hi = 2.0**i, 2.0 ** (i + 3)
+    try:
+        lo, hi = 2.0**i, 2.0 ** (i + 3)
+        box_vol = (2.0 * hi) ** d if kind == BOUNDARY else (2.0 * hi) ** (d - 1) * hi
+    except OverflowError:
+        box_vol = math.inf
+    if not math.isfinite(box_vol):
+        raise DomainError(f"window {i} has a volume past the floating-point range")
     raw = halton_sequence(count * 4, d)
     box = np.empty_like(raw)
     if kind == BOUNDARY:
         box[:] = (2.0 * raw - 1.0) * hi
-        box_vol = (2.0 * hi) ** d
     else:
         box[:, :-1] = (2.0 * raw[:, :-1] - 1.0) * hi
         box[:, -1] = raw[:, -1] * hi
-        box_vol = (2.0 * hi) ** (d - 1) * hi
     r = np.sqrt(np.sum(box * box, axis=-1))
     keep = (r > lo) & (r < hi)
     if kind == HALFSPACE:

@@ -89,17 +89,8 @@ class AtomicMeasure:
     @classmethod
     def from_json_dict(cls, obj) -> "AtomicMeasure":
         dim = _expect_int(obj, "dimension")
-        atoms = _expect_list(obj, "atoms")
-        pts, ms = [], []
-        for i, atom in enumerate(atoms):
-            path = f"atoms[{i}]"
-            if not isinstance(atom, dict):
-                raise SchemaError("expected an object", path)
-            pts.append(_expect_vector(atom, "point", dim, path))
-            ms.append(_expect_number(atom, "mass", path))
-            if ms[-1] <= 0:
-                raise SchemaError("mass must be positive", f"{path}.mass")
-        return cls(dim, np.array(pts).reshape(-1, dim), np.array(ms))
+        pts, ms = _parse_atoms(_expect_list(obj, "atoms"), dim, positive=True)
+        return cls(dim, pts, ms)
 
     def to_json_dict(self):
         return {
@@ -229,15 +220,8 @@ class BoundaryData:
         dim = _expect_int(obj, "dimension")
         kind = _expect_str(obj, "kind")
         if kind == "atoms":
-            atoms = _expect_list(obj, "atoms")
-            pts, ws = [], []
-            for i, atom in enumerate(atoms):
-                path = f"atoms[{i}]"
-                if not isinstance(atom, dict):
-                    raise SchemaError("expected an object", path)
-                pts.append(_expect_vector(atom, "point", dim, path))
-                ws.append(_expect_number(atom, "mass", path))
-            return cls.atoms(dim, np.array(pts).reshape(-1, dim), np.array(ws))
+            pts, ws = _parse_atoms(_expect_list(obj, "atoms"), dim, positive=False)
+            return cls.atoms(dim, pts, ws)
         if kind == "family":
             fam = obj.get("family")
             if not isinstance(fam, dict):
@@ -323,6 +307,47 @@ def _expect_vector(obj, key, length, prefix=""):
         return [float(e) for e in v]
     except OverflowError:
         return [_as_float(e, f"{path}[{j}]") for j, e in enumerate(v)]
+
+
+_PLAIN_NUMBERS = frozenset((int, float))
+
+
+def _parse_atoms(atoms, dim, positive):
+    """Points (N, dim) and masses (N,) of a JSON atom list
+    ``[{"point": [...], "mass": m}, ...]``; ``positive`` requires masses > 0.
+
+    A list of plain dicts of plain ints and floats is converted in bulk.
+    Anything else (a fault, an integer past the float range, a subclass of
+    int or float) goes through the atoms one by one, which raises the first
+    fault in atom order with its path, or converts the same values.  With
+    no atoms the points are an empty 1-d array, which the constructors
+    reshape once the dimension has passed their own check."""
+    if all(type(a) is dict for a in atoms):
+        raw_pts = [a.get("point") for a in atoms]
+        raw_ms = [a.get("mass") for a in atoms]
+        if (
+            all(type(p) is list and len(p) == dim for p in raw_pts)
+            and {type(e) for p in raw_pts for e in p} <= _PLAIN_NUMBERS
+            and {type(v) for v in raw_ms} <= _PLAIN_NUMBERS
+        ):
+            try:
+                pts = np.array(raw_pts, dtype=float)
+                ms = np.array(raw_ms, dtype=float)
+            except OverflowError:
+                pass
+            else:
+                if not (positive and np.any(ms <= 0.0)):
+                    return pts, ms
+    pts, ms = [], []
+    for i, atom in enumerate(atoms):
+        path = f"atoms[{i}]"
+        if not isinstance(atom, dict):
+            raise SchemaError("expected an object", path)
+        pts.append(_expect_vector(atom, "point", dim, path))
+        ms.append(_expect_number(atom, "mass", path))
+        if positive and ms[-1] <= 0:
+            raise SchemaError("mass must be positive", f"{path}.mass")
+    return np.array(pts), np.array(ms)
 
 
 # ---------------------------------------------------------------------------

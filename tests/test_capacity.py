@@ -12,6 +12,7 @@ from hpot.capacity import (
     enumerate_vertices_value,
     lp_solve,
     membership_from_spec,
+    shell_samples,
     thinness_series,
     window_nodes,
 )
@@ -114,6 +115,149 @@ def test_klee_minty_lp_reaches_blands_rule(monkeypatch):
     sol = lp_solve(lp)
     assert bland_pivots
     assert sol.value == pytest.approx(enumerate_vertices_value(lp), rel=1e-9)
+
+
+def _full_tableau_lp_solve(lp):
+    """The simplex on the full dual tableau [A^T | I_k | c], clearing every
+    column on each pivot: the reference for the compact tableau, which
+    stores a slack column only once its row has pivoted."""
+    A, c = lp.A, lp.c
+    m, k = A.shape
+    T = np.zeros((k, m + k + 1))
+    T[:, :m] = A.T
+    T[:, m : m + k] = np.eye(k)
+    T[:, -1] = c
+    red = np.zeros(m + k)
+    red[:m] = 1.0
+    value = 0.0
+    basis = list(range(m, m + k))
+    scratch = np.empty((max(1, 2**16 // T.shape[1]), T.shape[1]))
+    stall = 0
+    while True:
+        use_bland = stall > 2 * (m + k)
+        enterable = np.where(red > capacity_module._LP_TOL * 1e-3)[0]
+        if enterable.size == 0:
+            break
+        if use_bland:
+            j = int(enterable[0])
+        else:
+            j = int(enterable[np.argmax(red[enterable])])
+        col = T[:, j]
+        pos = col > 1e-11
+        ratios = np.full(k, np.inf)
+        ratios[pos] = T[pos, -1] / col[pos]
+        rmin = ratios.min()
+        ties = np.where(ratios <= rmin * (1 + 1e-12) + 1e-300)[0]
+        r = int(min(ties, key=lambda i: basis[i])) if use_bland else int(ties[0])
+        T[r] /= T[r, j]
+        capacity_module._eliminate(T, r, j, scratch)
+        gain = red[j] * T[r, -1]
+        value += gain
+        red = red - red[j] * T[r, :-1]
+        basis[r] = j
+        stall = 0 if gain > 1e-13 * (1.0 + abs(value)) else stall + 1
+    y = np.zeros(m)
+    for i, b in enumerate(basis):
+        if b < m:
+            y[b] = T[i, -1]
+    return capacity_module.LPSolution(np.maximum(-red[m:], 0.0), float(value), y)
+
+
+def _assert_same_solution(got, want):
+    assert got.value == want.value
+    assert got.g.tobytes() == want.g.tobytes()
+    assert got.dual.tobytes() == want.dual.tobytes()
+
+
+def _stored_widths(monkeypatch):
+    # widths of the tableaus that lp_solve hands to _eliminate
+    widths = []
+    eliminate = capacity_module._eliminate
+
+    def recording(T, r, j, scratch):
+        widths.append(T.shape[1])
+        eliminate(T, r, j, scratch)
+
+    monkeypatch.setattr(capacity_module, "_eliminate", recording)
+    return widths
+
+
+def test_compact_tableau_matches_full_tableau():
+    rng = np.random.default_rng(45)
+    lps = [_klee_minty_lp(5), _klee_minty_lp(7)]
+    for _ in range(40):
+        m, k = int(rng.integers(1, 60)), int(rng.integers(1, 120))
+        A = rng.uniform(0, 2, (m, k))
+        A[A < rng.uniform(0.2, 1.5)] = 0.0  # zeros in the pivot columns
+        A[np.arange(m), rng.integers(0, k, m)] = 1.0
+        lps.append(LPInstance(c=rng.uniform(0, 3, k), A=A))
+    cone = membership_from_spec({"shape": "cone", "aperture": 0.5})
+    for kind in (BOUNDARY, HALFSPACE):
+        for i in (1, 4, 8):
+            pts = shell_samples(cone, i, CFG3, 64)
+            nodes, w = window_nodes(kind, i, CFG3, 256)
+            lps.append(CapacityProblem(kind, pts, nodes, w, CFG3).lp_instance())
+    for lp in lps:
+        _assert_same_solution(lp_solve(lp), _full_tableau_lp_solve(lp))
+
+
+def test_compact_tableau_on_the_benchmark_sized_capacity_lp(monkeypatch):
+    rng = np.random.default_rng(46)
+    pts = np.column_stack([rng.uniform(-4, 4, (400, 2)), rng.uniform(0.5, 4, 400)])
+    nodes, w = window_nodes(BOUNDARY, 1, CFG3, 1024)
+    lp = CapacityProblem(BOUNDARY, pts, nodes, w, CFG3).lp_instance()
+    want = _full_tableau_lp_solve(lp)
+    widths = _stored_widths(monkeypatch)
+    _assert_same_solution(lp_solve(lp), want)
+    # far fewer slack columns than the 1024 of the full tableau
+    assert widths and max(widths) <= 400 + 1 + capacity_module._SLACK_ROOM
+
+
+def test_compact_tableau_grows_past_its_initial_room(monkeypatch):
+    # a near-diagonal LP pivots on every row, so more slack columns are
+    # stored than the initial room holds
+    rng = np.random.default_rng(47)
+    k = 3 * capacity_module._SLACK_ROOM
+    A = np.eye(k) + rng.uniform(0, 0.05, (k, k)) * (rng.random((k, k)) < 0.3)
+    lp = LPInstance(c=rng.uniform(0.5, 2, k), A=A)
+    want = _full_tableau_lp_solve(lp)
+    widths = _stored_widths(monkeypatch)
+    _assert_same_solution(lp_solve(lp), want)
+    assert max(widths) - (k + 1) > 2 * capacity_module._SLACK_ROOM
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("kind", [BOUNDARY, HALFSPACE])
+def test_kernel_matrix_matches_broadcast_formula(kind, n):
+    rng = np.random.default_rng(48 + n)
+    cfg = KernelConfig(n)
+    pts = np.column_stack([rng.uniform(-5, 5, (30, n - 1)), rng.uniform(0.1, 5, 30)])
+    if kind == BOUNDARY:
+        nodes = rng.uniform(-9, 9, (70, n - 1))
+        diff = pts[:, None, :-1] - nodes[None, :, :]
+        d2 = np.sum(diff * diff, axis=-1) + pts[:, None, -1] ** 2
+        want = d2 ** (-0.5 * n)
+    else:
+        nodes = np.column_stack([rng.uniform(-9, 9, (70, n - 1)), rng.uniform(0.1, 9, 70)])
+        diff = pts[:, None, :] - nodes[None, :, :]
+        want = np.sum(diff * diff, axis=-1) ** (-0.5 * (n - 1))
+    got = CapacityProblem(kind, pts, nodes, np.ones(70), cfg).kernel_matrix()
+    assert got.tobytes() == want.tobytes()
+
+
+def test_shell_without_samples_gives_no_points():
+    # at n = 6 no Halton point of the first shells lands in the cone
+    pts = shell_samples(
+        membership_from_spec({"shape": "cone", "aperture": 0.5}), 1, KernelConfig(6), 1
+    )
+    assert pts.shape == (0, 6)
+
+
+@pytest.mark.parametrize("i", [509, 1021])
+@pytest.mark.parametrize("kind", [BOUNDARY, HALFSPACE])
+def test_window_past_float_range_is_domain_error(kind, i):
+    with pytest.raises(DomainError, match="floating-point range"):
+        window_nodes(kind, i, CFG3, 8)
 
 
 def test_infeasible_zero_row():

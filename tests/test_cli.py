@@ -525,6 +525,36 @@ def test_capacity_command(tmp_path, capsys):
     assert payload["n_constraints"] == 2
 
 
+@pytest.mark.parametrize("kind", ["boundary", "halfspace"])
+def test_capacity_window_past_float_range_is_domain_error(tmp_path, capsys, kind):
+    # 2^(i+3) overflows at i = 1021; the window volume already at i = 509
+    pts = tmp_path / "e.csv"
+    pts.write_text("x_1,x_2,x_3\n0,0,3\n")
+    code, out, err = run_cli(
+        capsys, "capacity", "--kind", kind, "--points", str(pts), "--window", "1021",
+    )
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1
+    assert json.loads(err) == {
+        "code": "domain", "message": "window 1021 has a volume past the floating-point range",
+    }
+
+
+@pytest.mark.parametrize("n", ["6", "7"])
+def test_thinness_shell_without_samples_adds_zero(tmp_path, capsys, n):
+    # one sample per shell: no Halton point lands in the cone's first shells
+    spec = tmp_path / "cone.json"
+    spec.write_text(json.dumps({"shape": "cone", "aperture": 0.5}))
+    code, out, err = run_cli(
+        capsys, "thinness", "--set", str(spec), "--kind", "boundary", "--n", n,
+        "--imax", "3", "--e-samples", "1",
+    )
+    assert code == 0 and err == ""
+    payload = json.loads(out)
+    assert [t["capacity"] for t in payload["terms"]] == [0, 0, 0]
+    assert payload["partial_sum"] == 0
+
+
 @pytest.mark.parametrize(
     "spec, path",
     [

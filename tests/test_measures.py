@@ -222,6 +222,51 @@ def test_boundary_schema_errors_carry_paths(payload, path):
     assert err.value.path == path
 
 
+def test_first_fault_in_atom_order_wins():
+    # an integer past the float range in atom 0 comes before a string in
+    # atom 1, and a point fault before a mass fault in the same atom
+    atoms = [
+        {"point": [1, 2, 10**400], "mass": 1},
+        {"point": [1, "a", 3], "mass": 1},
+    ]
+    with pytest.raises(SchemaError) as err:
+        AtomicMeasure.from_json_dict({"dimension": 3, "atoms": atoms})
+    assert err.value.path == "atoms[0].point[2]"
+    atoms = [{"point": [1, 2, 3], "mass": 1}, {"point": [1, 2], "mass": -1}]
+    with pytest.raises(SchemaError) as err:
+        AtomicMeasure.from_json_dict({"dimension": 3, "atoms": atoms})
+    assert err.value.path == "atoms[1].point"
+    atoms = [{"point": [1, 2, 3], "mass": 1}, [1, 2, 3]]
+    with pytest.raises(SchemaError) as err:
+        BoundaryData.from_json_dict({"dimension": 3, "kind": "atoms", "atoms": atoms})
+    assert err.value.path == "atoms[1]"
+
+
+def test_atom_lists_of_number_subclasses_parse_alike():
+    # numpy floats and bare ints go one atom at a time; plain JSON numbers
+    # in bulk; both give the same arrays
+    plain = [{"point": [0.1, 2, 3.5], "mass": 0.7}, {"point": [1e300, -4, 0.25], "mass": 3}]
+    mixed = [
+        {"point": [np.float64(0.1), 2, 3.5], "mass": 0.7},
+        {"point": [1e300, -4, 0.25], "mass": np.float64(3.0)},
+    ]
+    a = AtomicMeasure.from_json_dict({"dimension": 3, "atoms": plain})
+    b = AtomicMeasure.from_json_dict({"dimension": 3, "atoms": mixed})
+    assert a.points.tobytes() == b.points.tobytes()
+    assert a.masses.tobytes() == b.masses.tobytes()
+    assert a.points.shape == (2, 3)
+    empty = BoundaryData.from_json_dict({"dimension": 2, "kind": "atoms", "atoms": []})
+    assert empty.points.shape == (0, 2) and empty.weights.shape == (0,)
+
+
+@pytest.mark.parametrize("dim", [0, -1])
+def test_non_positive_dimension_is_domain_error(dim):
+    with pytest.raises(DomainError):
+        AtomicMeasure.from_json_dict({"dimension": dim, "atoms": []})
+    with pytest.raises(DomainError):
+        BoundaryData.from_json_dict({"dimension": dim, "kind": "atoms", "atoms": []})
+
+
 def test_unknown_family_rejected():
     with pytest.raises(DomainError):
         BoundaryData(2, "family", family=("lorentzian", {}))
