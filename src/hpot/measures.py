@@ -309,44 +309,41 @@ def _expect_vector(obj, key, length, prefix=""):
         return [_as_float(e, f"{path}[{j}]") for j, e in enumerate(v)]
 
 
-_PLAIN_NUMBERS = frozenset((int, float))
-
-
 def _parse_atoms(atoms, dim, positive):
-    """Points (N, dim) and masses (N,) of a JSON atom list
+    """Points and masses (N,) of a JSON atom list
     ``[{"point": [...], "mass": m}, ...]``; ``positive`` requires masses > 0.
 
-    A list of plain dicts of plain ints and floats is converted in bulk.
-    Anything else (a fault, an integer past the float range, a subclass of
-    int or float) goes through the atoms one by one, which raises the first
-    fault in atom order with its path, or converts the same values.  With
-    no atoms the points are an empty 1-d array, which the constructors
-    reshape once the dimension has passed their own check."""
-    if all(type(a) is dict for a in atoms):
-        raw_pts = [a.get("point") for a in atoms]
-        raw_ms = [a.get("mass") for a in atoms]
-        if (
-            all(type(p) is list and len(p) == dim for p in raw_pts)
-            and {type(e) for p in raw_pts for e in p} <= _PLAIN_NUMBERS
-            and {type(v) for v in raw_ms} <= _PLAIN_NUMBERS
-        ):
-            try:
-                pts = np.array(raw_pts, dtype=float)
-                ms = np.array(raw_ms, dtype=float)
-            except OverflowError:
-                pass
-            else:
-                if not (positive and np.any(ms <= 0.0)):
-                    return pts, ms
+    One pass in atom order: the first fault raises a SchemaError at its
+    path, which is formed only then.  The points come back as an array of
+    N lists of dim floats (1-d when N = 0), which the constructors reshape
+    once the dimension has passed their own check."""
     pts, ms = [], []
     for i, atom in enumerate(atoms):
-        path = f"atoms[{i}]"
         if not isinstance(atom, dict):
-            raise SchemaError("expected an object", path)
-        pts.append(_expect_vector(atom, "point", dim, path))
-        ms.append(_expect_number(atom, "mass", path))
-        if positive and ms[-1] <= 0:
-            raise SchemaError("mass must be positive", f"{path}.mass")
+            raise SchemaError("expected an object", f"atoms[{i}]")
+        p = atom.get("point")
+        if not isinstance(p, list) or len(p) != dim:
+            raise SchemaError(f"expected a list of {dim} numbers", f"atoms[{i}].point")
+        for j, e in enumerate(p):
+            if isinstance(e, bool) or not isinstance(e, (int, float)):
+                raise SchemaError("expected a number", f"atoms[{i}].point[{j}]")
+        try:
+            pts.append([float(e) for e in p])
+        except OverflowError:  # raised below at the first oversized integer
+            for j, e in enumerate(p):
+                _as_float(e, f"atoms[{i}].point[{j}]")
+        m = atom.get("mass")
+        if isinstance(m, bool) or not isinstance(m, (int, float)):
+            raise SchemaError("expected a number", f"atoms[{i}].mass")
+        try:
+            m = float(m)
+        except OverflowError:
+            raise SchemaError(
+                "number out of floating-point range", f"atoms[{i}].mass"
+            ) from None
+        if positive and m <= 0:
+            raise SchemaError("mass must be positive", f"atoms[{i}].mass")
+        ms.append(m)
     return np.array(pts), np.array(ms)
 
 

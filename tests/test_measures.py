@@ -243,8 +243,8 @@ def test_first_fault_in_atom_order_wins():
 
 
 def test_atom_lists_of_number_subclasses_parse_alike():
-    # numpy floats and bare ints go one atom at a time; plain JSON numbers
-    # in bulk; both give the same arrays
+    # numpy floats (a float subclass) and bare ints give the same arrays as
+    # plain JSON numbers
     plain = [{"point": [0.1, 2, 3.5], "mass": 0.7}, {"point": [1e300, -4, 0.25], "mass": 3}]
     mixed = [
         {"point": [np.float64(0.1), 2, 3.5], "mass": 0.7},
