@@ -332,7 +332,7 @@ def shell_samples(membership, i: int, cfg: KernelConfig, count: int) -> np.ndarr
     r = np.sqrt(np.sum(box * box, axis=-1))
     keep = (r >= lo) & (r < hi) & (box[:, -1] > 0.0)
     pts = box[keep]
-    flags = np.array([bool(membership(p)) for p in pts], dtype=bool)
+    flags = np.broadcast_to(np.asarray(membership(pts), dtype=bool), (len(pts),))
     return pts[flags][:count]
 
 
@@ -383,6 +383,10 @@ def thinness_series(
     thinness (boundary kind, weight 2^(-i n)) and rarefiedness (halfspace
     kind, weight 2^(-i (n-1))) at infinity.
 
+    ``membership`` takes a (P, n) array of points and returns a (P,) bool
+    array, or one bool for all of them (``lambda x: True``); it is called
+    once per shell, on all sample candidates of that shell.
+
     Empty shells contribute zero.  The series is truncated at i_max; only
     growth trends are reported, never a convergence verdict."""
     if kind not in (BOUNDARY, HALFSPACE):
@@ -411,7 +415,8 @@ def thinness_series(
 
 
 def membership_from_spec(spec: dict, n: int | None = None):
-    """Membership predicate over the half-space from a JSON set description.
+    """Membership predicate over the half-space from a JSON set description,
+    taking one point or a (P, n) array of points (see thinness_series).
 
     Shapes: {"shape": "empty"}, {"shape": "all"},
     {"shape": "ball", "center": [...], "radius": r},
@@ -437,10 +442,10 @@ def membership_from_spec(spec: dict, n: int | None = None):
             raise SchemaError("ball needs a finite center", "set.center")
         if not 0 < radius < math.inf:
             raise SchemaError("ball needs a finite positive radius", "set.radius")
-        return lambda x: float(np.linalg.norm(np.asarray(x) - center)) < radius
+        return lambda x: np.linalg.norm(np.asarray(x) - center, axis=-1) < radius
     if shape == "cone":
         a = spec.get("aperture")
         if not isinstance(a, (int, float)) or not 0 < a < 1:
             raise SchemaError("cone needs aperture in (0,1)", "set")
-        return lambda x: np.asarray(x)[-1] >= a * float(np.linalg.norm(x))
+        return lambda x: np.asarray(x)[..., -1] >= a * np.linalg.norm(x, axis=-1)
     raise SchemaError(f"unknown shape {shape!r}", "set.shape")

@@ -134,14 +134,21 @@ def _parse_shells(text):
     return range(lo, hi + 1)
 
 
-def _positive_int(text):
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return value
+def _int_from(least, what):
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            value = least - 1
+        if value < least:
+            raise argparse.ArgumentTypeError(f"expected {what} integer, got {text!r}")
+        return value
+
+    return parse
+
+
+_positive_int = _int_from(1, "a positive")
+_seed = _int_from(0, "a non-negative")
 
 
 def _parse_radii(text):
@@ -356,7 +363,7 @@ def _build_parser() -> _Parser:
     gr.add_argument("--rays", type=_positive_int, default=8)
     gr.add_argument("--radii", default="8:1024:16")
     gr.add_argument("--covering")
-    gr.add_argument("--seed", type=int, default=0)
+    gr.add_argument("--seed", type=_seed, default=0)
     add_common(gr)
     gr.set_defaults(func=cmd_growth)
 

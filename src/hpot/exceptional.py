@@ -17,14 +17,27 @@ then covered, and the weighted radius sum carries the certified bound
 Reach bound.  A closed ball holds at most the total mass M, so an atom at
 distance d witnesses x only if lambda (d/|x|)^beta < M, that is
 d < rho |x| with rho = (M/lambda)^(1/beta) (rho <= 1/5 under the covering
-precondition lambda >= 5^beta M; rho = inf for beta = 0).  The witness
-search therefore sorts atom distances only for the lattice rows that have
-an atom within rho |x|.  The pruning is exact: the bound is widened past
-the rounding of the cumulative masses, the powers and the distances, so a
-pruned row is one the full sort would also reject, and every kept row runs
-the full sort against all atoms and gets the same radius bit for bit.
-Rows go through in blocks of at most _BLOCK_ELEMENTS row-atom pairs, so the
-working memory is set by that budget, not by rows x atoms.
+precondition lambda >= 5^beta M; rho = inf for beta = 0).  The bound is
+widened past the rounding of the cumulative masses, the powers and the
+distances, so no row the full sort accepts is pruned.
+
+Witness search.  Only atoms of the shell's annulus, | |y| - |x| | <= rho |x|,
+can be within reach of a row.  They are grouped into boxes: cubes of side
+the largest reach, keyed by the first min(n, 3) coordinates, each with the
+bounding box of its atoms over all n.  A row is paired with a box only when
+the box lies within its reach widened by 1 + 1e-9, and then with each atom
+of that box, and a row is kept when one of those atoms is within reach.
+This is exact: an atom within reach lies in a box within reach, since the
+box's gap to the row is, coordinate by coordinate, no larger than the
+rounded difference to the atom.  A kept row is then sorted against the
+annulus atoms only, which gives the full sort's radius bit for bit: every
+atom within reach is in the annulus, so up to the reach the sorted
+distances and cumulative masses agree term for term (atoms at equal
+distance keep their order in the measure in both), and past the reach
+neither sort can accept an atom.  The
+row-box, row-atom and sorted pairs each go through in blocks of at most
+_BLOCK_ELEMENTS, so the working memory is set by that budget, not by
+rows x atoms.
 """
 from __future__ import annotations
 
@@ -39,11 +52,18 @@ from .measures import AtomicMeasure
 
 INFLATION = 5.0
 
-# Row-atom pairs held at once by the witness search (and point-ball pairs by
-# CoveringResult.contains); each pair costs about 64 bytes at the peak of
-# _distance_profile.  Blocks of 2^16 pairs ran the benchmark's covering
-# faster than 2^18 or 2^20 (they stay in cache).
+# Pairs held at once by each stage of the witness search (row-box gaps,
+# row-atom distances, and the distance sort of kept rows) and point-ball
+# pairs by CoveringResult.contains.  The sort is the largest per pair, about
+# 64 bytes (n = 3), so a block peaks near 4 MB.  Blocks of 2^16 pairs ran
+# the benchmark's covering faster than 2^18 or 2^20 (they stay in cache).
 _BLOCK_ELEMENTS = 1 << 16
+# Points of the bounding cube of one shell lattice, (2 ceil(2/delta) + 1)^n.
+_MAX_LATTICE_POINTS = 1 << 24
+# Cubes per axis in _boxes: a key of three 17-bit cube indices is exact in
+# float64 (a float sort touches less of numpy than an int64 one; a cube
+# count only sets how many boxes there are, not which rows are kept).
+_CUBES_PER_AXIS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -114,11 +134,16 @@ class GrowthParams:
 
 
 def _distance_profile(mu: AtomicMeasure, xs: np.ndarray):
-    """Per row of xs: sorted atom distances and cumulative masses."""
+    """Per row of xs: sorted atom distances and cumulative masses.  Atoms at
+    equal distance keep their order in mu, as in a stable sort; the faster
+    default sort is redone stably only on rows with such a tie."""
     diff = xs[:, None, :] - mu.points[None, :, :]
     d = np.sqrt(np.sum(diff * diff, axis=-1))
     order = np.argsort(d, axis=1)
     d_sorted = np.take_along_axis(d, order, axis=1)
+    tied = np.any(d_sorted[:, 1:] == d_sorted[:, :-1], axis=1)
+    if np.any(tied):
+        order[tied] = np.argsort(d[tied], axis=1, kind="stable")
     cum = np.cumsum(mu.masses[order], axis=1)
     return d_sorted, cum
 
@@ -158,14 +183,30 @@ def shell_lattice(k: int, grid_delta: float, dim: int) -> np.ndarray:
     2^k <= |x| < 2^(k+1); the per-shell point count is scale-free."""
     if k < 1:
         raise DomainError(f"shell index must be >= 1, got {k}")
-    if not grid_delta > 0.0:
-        raise DomainError(f"grid spacing must be positive, got {grid_delta}")
-    lo, hi = 2.0**k, 2.0 ** (k + 1)
-    h = grid_delta * 2.0**k
-    j = np.arange(-math.ceil(hi / h), math.ceil(hi / h) + 1)
+    if not 0.0 < grid_delta < math.inf:
+        raise DomainError(f"grid spacing must be finite and positive, got {grid_delta}")
+    try:
+        lo, hi = 2.0**k, 2.0 ** (k + 1)
+    except OverflowError:
+        hi = math.inf
+    if not hi * hi < math.inf:  # then no point of the shell has a finite |x|^2
+        raise DomainError(f"shell {k} lies past the floating-point range")
+    h = grid_delta * lo
+    if not h < math.inf:
+        raise DomainError(f"grid spacing {grid_delta} at shell {k} lies past the floating-point range")
+    half = hi / h  # 2 / grid_delta up to rounding
+    count = (2 * math.ceil(half) + 1) ** dim if half < math.inf else math.inf
+    if count > _MAX_LATTICE_POINTS:
+        size = f"{count:.4g}" if count < 1e300 else "more than 1e300"
+        raise DomainError(
+            f"grid spacing {grid_delta} needs a lattice of {size} points per shell, "
+            f"more than 2^24 = {_MAX_LATTICE_POINTS}"
+        )
+    j = np.arange(-math.ceil(half), math.ceil(half) + 1)
     axes = [j * h] * dim
     grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, dim)
-    r = np.sqrt(np.sum(grid * grid, axis=-1))
+    with np.errstate(over="ignore"):  # an overflow puts a point past the shell
+        r = np.sqrt(np.sum(grid * grid, axis=-1))
     return grid[(r >= lo) & (r < hi)]
 
 
@@ -189,21 +230,72 @@ def _block_rows(n_atoms: int) -> int:
     return max(1, _BLOCK_ELEMENTS // max(1, n_atoms))
 
 
+def _boxes(points: np.ndarray, side: float):
+    """The points sorted by cube of the given side over their first
+    min(n, 3) coordinates, with each occupied cube's first index and atom
+    count in that order and its bounding box (lo, hi) over all coordinates."""
+    cols = points[:, : min(points.shape[1], 3)]
+    with np.errstate(over="ignore"):
+        cell = np.floor((cols - cols.min(axis=0)) / side)
+    cell = np.minimum(cell, _CUBES_PER_AXIS - 1)
+    key = cell[:, 0]
+    for c in range(1, cell.shape[1]):
+        key = key * _CUBES_PER_AXIS + cell[:, c]
+    order = np.argsort(key)
+    starts = np.flatnonzero(np.diff(key[order], prepend=-1.0))
+    pts = points[order]
+    lo = np.minimum.reduceat(pts, starts, axis=0)
+    hi = np.maximum.reduceat(pts, starts, axis=0)
+    return pts, starts, np.diff(starts, append=len(pts)), lo, hi
+
+
 def _within_reach(points: np.ndarray, xs: np.ndarray, reach: np.ndarray):
-    """Per row of xs: whether some point lies within that row's reach."""
+    """Per row of xs: whether some point lies within that row's reach.
+
+    The points are grouped into boxes (see _boxes); a row is tested exactly
+    only against the points of boxes within its widened reach, and row-box
+    and row-point pairs both go through in blocks of at most _BLOCK_ELEMENTS."""
     hit = np.zeros(len(xs), dtype=bool)
-    if len(points) == 0:
+    if len(points) == 0 or len(xs) == 0:
         return hit
-    step = _block_rows(len(points))
+    # a reach that underflowed to 0 keeps only atoms that coincide with a row
+    pts, starts, counts, lo, hi = _boxes(points, max(float(reach.max()), np.finfo(float).tiny))
     reach2 = reach * reach
-    for lo in range(0, len(xs), step):
-        block = xs[lo : lo + step]
-        d2 = np.zeros((len(block), len(points)))
+    wide2 = reach2 * (1.0 + 1e-9) ** 2
+    step = _block_rows(len(starts))
+    for a in range(0, len(xs), step):
+        block = xs[a : a + step]
+        g2 = np.zeros((len(block), len(starts)))
         for c in range(xs.shape[1]):
-            diff = np.subtract.outer(block[:, c], points[:, c])
-            diff *= diff
-            d2 += diff
-        hit[lo : lo + step] = np.any(d2 <= reach2[lo : lo + step, None], axis=1)
+            gap = np.maximum(lo[:, c] - block[:, c, None], block[:, c, None] - hi[:, c])
+            np.maximum(gap, 0.0, out=gap)
+            gap *= gap
+            g2 += gap
+        rows, boxes = np.nonzero(g2 <= wide2[a : a + step, None])
+        del g2
+        cnt = counts[boxes]
+        ends = np.cumsum(cnt)
+        total = int(ends[-1]) if len(ends) else 0
+        for e0 in range(0, total, _BLOCK_ELEMENTS):
+            # row-box pairs p0..p1-1 expand to the row-atom pairs e0..e1-1;
+            # the first and the last of them may be cut
+            e1 = min(e0 + _BLOCK_ELEMENTS, total)
+            p0 = int(np.searchsorted(ends, e0, side="right"))
+            p1 = int(np.searchsorted(ends, e1 - 1, side="right")) + 1
+            take = cnt[p0:p1].copy()
+            first = starts[boxes[p0:p1]]
+            skip = e0 - int(ends[p0] - cnt[p0])
+            take[0] -= skip
+            first[0] += skip
+            take[-1] -= int(ends[p1 - 1]) - e1
+            r = np.repeat(rows[p0:p1], take)
+            atom = np.arange(e1 - e0) + np.repeat(first - (np.cumsum(take) - take), take)
+            d2 = np.zeros(len(r))
+            for c in range(xs.shape[1]):
+                diff = block[r, c] - pts[atom, c]
+                diff *= diff
+                d2 += diff
+            hit[a + r[d2 <= reach2[a + r]]] = True
     return hit
 
 
@@ -233,7 +325,7 @@ def _witness_radii(mu: AtomicMeasure, query: MaximalQuery, xs: np.ndarray):
     radius below the threshold-crossing one witnesses); half the crossing
     radius of the coincident mass is used there so the ball stays
     nondegenerate.  Only rows with an atom within the reach bound are
-    sorted; see the module docstring."""
+    sorted, and only against the annulus atoms; see the module docstring."""
     r = np.sqrt(np.sum(xs * xs, axis=-1))
     radii = np.full(len(xs), np.nan)
     rows = np.flatnonzero(r >= 2.0)
@@ -244,7 +336,8 @@ def _witness_radii(mu: AtomicMeasure, query: MaximalQuery, xs: np.ndarray):
         grow = (1.0 + reach) * (1.0 + 1e-9)
         norms = np.sqrt(np.sum(mu.points * mu.points, axis=-1))
         near = (norms >= rr.min() * (2.0 - grow)) & (norms <= rr.max() * grow)
-        rows = rows[_within_reach(mu.points[near], xs[rows], reach * rr)]
+        mu = AtomicMeasure(mu.dimension, mu.points[near], mu.masses[near])
+        rows = rows[_within_reach(mu.points, xs[rows], reach * rr)]
     step = _block_rows(len(mu))
     for lo in range(0, len(rows), step):
         block = rows[lo : lo + step]

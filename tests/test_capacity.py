@@ -379,6 +379,29 @@ def test_membership_specs():
         membership_from_spec({})
 
 
+def test_membership_rows_match_single_points():
+    # shell_samples calls a predicate once on all candidates of a shell
+    from hpot.quadrature import halton_sequence
+
+    raw = halton_sequence(4096, 3)
+    specs = [{"shape": "cone", "aperture": a} for a in (0.3, 0.45, 0.6)]
+    specs += [{"shape": "ball", "center": [0, 0, 6.0], "radius": 2.0},
+              {"shape": "ball", "center": [4.0, -4.0, 4.0], "radius": 4.0}]
+    for spec in specs:
+        memb = membership_from_spec(spec)
+        for i in (1, 2, 5):
+            pts = (2.0 * raw - 1.0) * 2.0 ** (i + 1)
+            pts[:, -1] = np.abs(pts[:, -1])
+            rows = memb(pts)
+            assert rows.shape == (len(pts),) and rows.dtype == bool
+            assert np.array_equal(rows, [bool(memb(p)) for p in pts])
+            if i == 2:
+                assert 0 < np.count_nonzero(rows) < len(pts)
+    samples = shell_samples(lambda x: True, 2, CFG3, 16)
+    assert samples.shape == (16, 3)
+    assert shell_samples(lambda x: False, 2, CFG3, 16).shape == (0, 3)
+
+
 def test_capacity_validation():
     with pytest.raises(DomainError):
         CapacityProblem(BOUNDARY, np.zeros((0, 3)), [[0.0, 0.0]], [1.0], CFG3)

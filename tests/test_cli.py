@@ -286,6 +286,26 @@ def test_exceptional_precondition_exit(tmp_path, capsys):
     assert json.loads(err)["code"] == "domain"
 
 
+@pytest.mark.parametrize("argv, words", [
+    (("--shells", "1100..1100"), "shell 1100 lies past the floating-point range"),
+    (("--grid-delta", "0.001"), "6.405e+10 points per shell"),
+    (("--grid-delta", "1e-300"), "more than 1e300 points per shell"),
+    (("--grid-delta", "inf"), "must be finite and positive"),
+], ids=["shell_overflow", "lattice_too_large", "lattice_past_range", "spacing_inf"])
+def test_bad_shell_lattice_is_domain_error(tmp_path, capsys, argv, words):
+    mu = tmp_path / "mu.json"
+    mu.write_text(json.dumps(MU))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(
+            capsys, "exceptional", "--measure", str(mu), "--beta", "2", "--lambda", "25", *argv
+        )
+    assert code == 2 and out == "" and caught == []
+    assert err.count("\n") == 1
+    payload = json.loads(err)
+    assert payload["code"] == "domain" and words in payload["message"]
+
+
 def test_exceptional_mass_overflow_is_domain_error(tmp_path, capsys):
     # the masses sum past the float range: the precondition refuses the
     # input as one error object instead of a traceback
@@ -333,6 +353,18 @@ def test_counts_below_one_are_usage_errors(tmp_path, capsys, argv):
     assert code == 64
     assert out == "" and err.count("\n") == 1
     assert json.loads(err)["code"] == "usage"
+
+
+def test_negative_seed_is_usage_error(tmp_path, capsys):
+    data = tmp_path / "atoms.json"
+    data.write_text(json.dumps(ATOMS))
+    code, out, err = run_cli(
+        capsys, "growth", "--data", str(data), "--n", "3", "--alpha", "1", "--seed", "-1"
+    )
+    assert code == 64 and out == ""
+    assert err.count("\n") == 1
+    payload = json.loads(err)
+    assert payload["code"] == "usage" and "--seed" in payload["message"]
 
 
 @pytest.mark.parametrize("radii", ["4:inf:5", "-inf:4:5", "4:nan:5"])

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from hpot.exceptional import (
     MaximalQuery,
     _distance_profile,
     _witness_radii,
+    _within_reach,
     exceptional_candidates,
     exceptional_membership,
     growth_ratio,
@@ -374,3 +376,119 @@ def test_candidates_memory_bounded():
         tracemalloc.stop()
     assert peak < 32 * 2**20
     assert members >= 1
+
+
+def brute_within_reach(points, xs, reach):
+    """Reference: every row against every point, d2 summed one coordinate at
+    a time."""
+    d2 = np.zeros((len(xs), len(points)))
+    for c in range(xs.shape[1]):
+        d2 += np.subtract.outer(xs[:, c], points[:, c]) ** 2
+    return np.any(d2 <= (reach * reach)[:, None], axis=1)
+
+
+def _reach_cases():
+    rng = np.random.default_rng(44)
+    cases = {}
+    # 3-4-5 triangles: d2 == reach2 exactly, and one ulp short of it
+    rows = np.array([[3.0, 0.0, 0.0], [0.0, 3.0, 1.0], [10.0, 10.0, 10.0]])
+    atoms = np.array([[6.0, 4.0, 0.0], [0.0, 7.0, 4.0], [10.0, 10.0, 15.0]])
+    reach = np.array([5.0, 5.0, np.nextafter(5.0, 0.0)])
+    cases["exact_reach"] = (atoms, rows, reach)
+    # the cube side is the largest reach, 1.0: atoms and rows on cube faces
+    faces = np.array(np.meshgrid(*[np.arange(-2.0, 3.0)] * 3, indexing="ij")).reshape(3, -1).T
+    half = faces[::3] + 0.5
+    cases["cube_faces"] = (faces[::2], np.vstack([faces[1::2], half]),
+                           rng.choice([0.5, 1.0, np.nextafter(1.0, 0.0)], len(faces[1::2]) + len(half)))
+    clump = rng.uniform(0.0, 0.9, size=(50, 3))
+    cases["one_cube"] = (clump, rng.uniform(-1.5, 2.5, size=(60, 3)), rng.uniform(0.1, 1.0, 60))
+    line = np.arange(40.0)[:, None] * [3.0, 2.5, 0.0]
+    rows = line[rng.integers(0, 40, 60)] + rng.uniform(-0.8, 0.8, size=(60, 3))
+    cases["cube_per_atom"] = (line, rows, rng.uniform(0.1, 1.0, 60))
+    cases["reach_past_span"] = (clump, rng.uniform(-3.0, 3.0, size=(60, 3)), np.full(60, 100.0))
+    # cube indices saturate: spans near 1e150 over a reach of 1e-10 or less
+    big = rng.uniform(-1e150, 1e150, size=(40, 3))
+    far_rows = np.vstack([big[:10], np.nextafter(big[10:20], np.inf), rng.uniform(-1e150, 1e150, size=(10, 3))])
+    cases["saturated_cubes"] = (big, far_rows, rng.choice([1e-10, 1e-300], len(far_rows)))
+    cases["zero_reach"] = (clump, np.vstack([clump[:5], clump[5:10] + 1e-9]), np.zeros(10))
+    for n in (2, 4, 5):
+        centres = rng.uniform(-20.0, 20.0, size=(4, n))
+        atoms = centres[np.arange(200) % 4] + rng.normal(size=(200, n))
+        rows = centres[np.arange(300) % 4] + rng.normal(size=(300, n)) * 2.0
+        cases[f"dimension_{n}"] = (atoms, rows, rng.uniform(0.05, 2.0, 300))
+    return cases
+
+
+_REACH_CASES = _reach_cases()
+
+
+@pytest.mark.parametrize("case", sorted(_REACH_CASES))
+@pytest.mark.parametrize("budget", [7, 250, 1 << 16])
+def test_within_reach_matches_brute_force(monkeypatch, case, budget):
+    atoms, rows, reach = _REACH_CASES[case]
+    monkeypatch.setattr(exceptional, "_BLOCK_ELEMENTS", budget)
+    expected = brute_within_reach(atoms, rows, reach)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # e.g. a cube side of 0 or an overflow
+        got = _within_reach(atoms, rows, reach)
+    assert np.array_equal(got, expected)
+    if case == "exact_reach":
+        assert expected.tolist() == [True, True, False]
+    if case != "reach_past_span":
+        assert 0 < np.count_nonzero(expected) < len(rows)
+
+
+def test_witness_radii_ties_match_dense_sort():
+    # atoms tied in distance from lattice rows: copies of one point with
+    # different masses (some on a row) and pairs mirrored about a row; far
+    # atoms outside the annulus make the full sort differ from the annulus one
+    rng = np.random.default_rng(45)
+    grid = shell_lattice(2, 0.25, 3)
+    rows = grid[rng.choice(len(grid), 4, replace=False)]
+    offsets = np.vstack([np.eye(3), 0.5 * np.eye(3), [[0.25, 0.25, 0.0]]])
+    mirrored = np.vstack([r + s * offsets for r in rows for s in (1.0, -1.0)])
+    copies = np.repeat(np.vstack([rows[:2], rows[2:] + 0.25]), 5, axis=0)
+    far = rng.normal(size=(200, 3))
+    far *= 60.0 / np.linalg.norm(far, axis=1)[:, None]
+    pts = np.vstack([far[:100], copies, mirrored, far[100:]])
+    masses = rng.choice([0.1, 0.2, 0.3, 1.0 / 3.0, 0.7], len(pts))
+    mu = AtomicMeasure(3, pts, masses)
+    for beta in (0.5, 1.0, 2.0):
+        for factor in (1.0, 0.3, 0.05):
+            q = MaximalQuery(beta, factor * 5.0**beta * mu.total_mass)
+            expected = dense_witness_radii(mu, q, grid)
+            assert np.count_nonzero(~np.isnan(expected)) >= 4
+            assert np.array_equal(_witness_radii(mu, q, grid), expected, equal_nan=True)
+
+
+def test_clustered_covering_memory_bounded():
+    # 2e4 atoms in three clusters; the witness search holds at most
+    # _BLOCK_ELEMENTS pairs at a time (about 4 MB here)
+    rng = np.random.default_rng(46)
+    centres = np.array([[4.0, 1.0, 3.0], [-12.0, 9.0, 14.0], [30.0, -50.0, 60.0]])
+    which = np.arange(20000) % 3
+    spread = 0.02 * np.linalg.norm(centres, axis=1)
+    pts = centres[which] + rng.normal(size=(20000, 3)) * spread[which, None]
+    pts[:, -1] = np.abs(pts[:, -1])
+    mu = AtomicMeasure(3, pts, rng.uniform(0.5, 1.5, 20000) / 20000)
+    q = MaximalQuery(2.0, 1.2 * 25.0 * mu.total_mass)
+    tracemalloc.start()
+    try:
+        cover = vitali_covering(mu, q, range(1, 8), 0.25)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    assert len(cover.balls) >= 1
+
+
+def test_shell_lattice_refuses_what_it_cannot_hold():
+    # shell 510 is the last whose |x|^2 stays finite; a spacing past the
+    # float range at shell 1 leaves only the origin, outside the shell
+    assert len(shell_lattice(510, 0.5, 3)) > 0
+    assert len(shell_lattice(1, 1e300, 3)) == 0
+    # (1, 2/128.5) needs 259^3 > 2^24 lattice points
+    for k, delta in ((511, 0.5), (1100, 0.5), (1, 2.0 / 128.5), (2, -0.5),
+                     (2, math.nan), (2, math.inf), (30, 1e300)):
+        with pytest.raises(DomainError):
+            shell_lattice(k, delta, 3)
