@@ -9,6 +9,7 @@ digits, so identical invocations (and seeds) produce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -218,11 +219,11 @@ def cmd_potential(args) -> int:
     cfg, vf, hf = _load_fields(args, data_path, measure_path)
     pts = read_points_csv(_read_text_file(args.points, "points"), cfg.n)
     if args.kind == "dirichlet":
-        values = eval_dirichlet(vf, pts)
+        values = eval_dirichlet(vf, pts, require_converged=True)
     elif args.kind == "green":
         values = eval_green_potential(hf, pts)
     else:
-        values = eval_superposition(vf, hf, pts)
+        values = eval_superposition(vf, hf, pts, require_converged=True)
     _emit(args, values_csv(pts, values))
     return EXIT_OK
 
@@ -255,7 +256,7 @@ def cmd_growth(args) -> int:
     def u_eval(x):
         total = 0.0
         if vf is not None:
-            total += eval_dirichlet(vf, x)
+            total += eval_dirichlet(vf, x, require_converged=True)
         if hf is not None:
             total += eval_green_potential(hf, x)
         return total
@@ -321,6 +322,7 @@ def cmd_thinness(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache  # built once per process; each parse_args call fills a new namespace
 def _build_parser() -> _Parser:
     p = _Parser(prog="hpot", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)

@@ -314,6 +314,11 @@ def _exact_radii(mu, query, xs, r):
         radii[at_atom] = np.fmin(
             np.where(np.isnan(radii), np.inf, radii), 0.5 * crossing
         )[at_atom]
+        if np.any(radii[at_atom] == 0.0):
+            raise DomainError(
+                f"beta = {query.beta:g} is too small: the crossing radius "
+                "|x| (mass/lambda)^(1/beta) of a lattice point on an atom underflows to 0"
+            )
     return radii
 
 

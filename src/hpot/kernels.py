@@ -28,7 +28,9 @@ agree to near machine precision where they overlap:
 The polar P_m of the quadrature runs on a grid of source radii (rows, each
 routed by ``_routes``) by cosines: one Gegenbauer ladder over the cosines
 serves every row, contracted by an ``einsum`` (no BLAS) with q^k up to the
-row's own tail degree, or with the radial factors of the head.
+row's own tail degree, or with the radial factors of the head.  A block of
+points, each with its own grid, shares one ladder over all their cosines
+(``_polar_grids``).
 
 The Cartesian kernels take one field point x of shape (n,) or a block of
 points (P, n), giving values of shape (N,) or (P, N) against N sources.
@@ -404,38 +406,97 @@ def modified_poisson_polar(cfg: KernelConfig, x, rho, cos_gamma) -> np.ndarray:
     rho (raveled, R values) by cosines cos_gamma (raveled, G values) of the
     angle to the tangential part of x, as an (R, G) array; a scalar counts
     as one value.  A tail row stops at the degree ``gegenbauer_tail_sum``
-    gives its q = |x|/rho, and row r equals the call on rho[r] bit for bit."""
+    gives its q = |x|/rho, and row r equals the call on rho[r] bit for bit.
+    This is the one-point case of ``_polar_grids``."""
     cx = as_coords(x, cfg.n)
     rho, cos_gamma = (np.ravel(np.asarray(a, dtype=float)) for a in (rho, cos_gamma))
-    n, m = cfg.n, cfg.m
-    xn = cx[-1]
-    squared_norms(cx)  # an overflowing |x|^2 is refused before np.dot warns
-    ax2 = float(np.dot(cx, cx))
-    ax = math.sqrt(ax2)
-    x_tan = math.sqrt(max(ax2 - xn * xn, 0.0))
-    tail, direct = _routes(ax, rho, m)
+    return _polar_grids(cfg, cx[None, :], [rho], [cos_gamma])[0]
+
+
+def _polar_grids(cfg: KernelConfig, xs, rhos, cosgs) -> list:
+    """The polar grids of ``modified_poisson_polar`` for a block of points:
+    xs is (P, n), and point p's grid, radii rhos[p] by cosines cosgs[p], is
+    an (R_p, G_p) view into one buffer.
+
+    The steps that are elementwise over rows or cosines run once for the
+    whole block: the routes, the source norms, one Gegenbauer ladder over
+    every cosine of the block, and the powers of the tail and direct rows.
+    The closed form of the near rows and the contractions run point by
+    point on each point's own rows and cosines, so every grid equals the
+    one-point call bit for bit.  Each point is checked as in the one-point
+    call; when two points fail, which error the block raises is not fixed."""
+    n, m, count = cfg.n, cfg.m, len(xs)
+    squared_norms(xs)  # an overflowing |x|^2 is refused before np.dot warns
+    sizes = np.array([r.size for r in rhos], dtype=np.int64)
+    widths = np.array([c.size for c in cosgs], dtype=np.int64)
+    ends = np.cumsum(sizes * widths)
+    buf = np.empty(int(ends[-1]) if count else 0)
+    grids = [buf[e - r * g : e].reshape(r, g) for e, r, g in zip(ends, sizes, widths)]
+    if not count:
+        return grids
+    ax2 = np.array([float(np.dot(cx, cx)) for cx in xs])  # as in the one-point call
+    xn = xs[:, -1]
+    ax = np.sqrt(ax2)
+    x_tan = np.sqrt(np.maximum(ax2 - xn * xn, 0.0))
+    rho = np.concatenate(rhos)
+    owner = np.repeat(np.arange(count), sizes)  # the point of each row
+
+    def row_ends(mask):
+        """Per point, the end of its rows among the rows where mask holds."""
+        return np.cumsum(np.bincount(owner[mask], minlength=count))
+
+    tail, direct = _routes(ax[owner], rho, m)
     # the closed form only on plain and direct rows: tail rows may overflow it
     near = ~tail
-    rn = rho[near, None]
-    out = np.empty((rho.size, cos_gamma.size))
-    d2 = ax2 - 2.0 * x_tan * rn * cos_gamma + squared_norms(rn, "source")[:, None]
-    out[near] = _poisson_closed_form(cfg, xn, d2)
+    rn = rho[near]
+    sq = squared_norms(rn[:, None], "source")
+    cols = (2.0 * x_tan)[owner[near]] * rn
+    a = na = 0
+    for p, (grid, b, nb, cosg) in enumerate(zip(grids, np.cumsum(sizes), row_ends(near), cosgs)):
+        d2 = np.multiply(cols[na:nb, None], cosg)
+        np.subtract(ax2[p], d2, out=d2)
+        d2 += sq[na:nb, None]
+        grid[near[a:b]] = _poisson_closed_form(cfg, xn[p], d2)
+        a, na = b, nb
     if m == 0:
-        return out
+        return grids
+
     lam, amp = 0.5 * n, 2.0 * xn / cfg.omega_n
-    q = ax / rho[tail]
+    tail_owner, rt = owner[tail], rho[tail]
+    q = ax[tail_owner] / rt
     degree = m + np.searchsorted(_tail_thresholds(lam, m), q, "right")
-    top = max(m - 1, int(degree.max(initial=0)))
-    t = np.clip(x_tan * cos_gamma / ax if ax > 0.0 else np.zeros_like(cos_gamma), -1, 1)
-    ladder = recurrence_ladder(lam, top, t)
-    ks = np.arange(top + 1)
-    powers = q[:, None] ** ks
-    powers[(ks < m) | (ks > degree[:, None])] = 0.0
-    out[tail] = amp * rho[tail, None] ** -float(n) * np.einsum("rk,kg->rg", powers, ladder)
-    ks, rd = ks[:m], rho[direct, None]
-    head = _finite_powers(ax, ks, "|x|^k") / _finite_powers(rd, n + ks, "rho^(n+k)")
-    out[direct] -= amp * np.einsum("rk,kg->rg", head, ladder[:m])
-    return out
+    tail_ends = row_ends(tail)
+    tops = [
+        max(m - 1, int(degree[a:b].max(initial=0)))
+        for a, b in zip(np.append(0, tail_ends[:-1]), tail_ends)
+    ]
+    spread = np.repeat(np.arange(count), widths)  # the point of each cosine
+    axc = ax[spread]
+    t = x_tan[spread] * np.concatenate(cosgs)
+    on_axis = axc == 0.0
+    t /= np.where(on_axis, 1.0, axc)
+    t[on_axis] = 0.0
+    np.clip(t, -1, 1, out=t)
+    ladder = recurrence_ladder(lam, max(tops), t)
+    ks = np.arange(max(tops) + 1)
+    qk = q[:, None] ** ks
+    qk[(ks < m) | (ks > degree[:, None])] = 0.0
+    scale = amp[tail_owner, None] * rt[:, None] ** -float(n)
+    ks = ks[:m]
+    xk = _finite_powers(ax[:, None], ks, "|x|^k")
+    head = xk[owner[direct]] / _finite_powers(rho[direct, None], n + ks, "rho^(n+k)")
+    a = ta = da = g0 = 0
+    for p, (grid, b, tb, db, g1, top) in enumerate(
+        zip(grids, np.cumsum(sizes), tail_ends, row_ends(direct), np.cumsum(widths), tops)
+    ):
+        if tb > ta:
+            series = np.einsum("rk,kg->rg", qk[ta:tb, : top + 1], ladder[: top + 1, g0:g1])
+            series *= scale[ta:tb]
+            grid[tail[a:b]] = series
+        if db > da:
+            grid[direct[a:b]] -= amp[p] * np.einsum("rk,kg->rg", head[da:db], ladder[:m, g0:g1])
+        a, ta, da, g0 = b, tb, db, g1
+    return grids
 
 
 # ---------------------------------------------------------------------------

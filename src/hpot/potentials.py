@@ -11,14 +11,21 @@ of u, beta = ``BoundaryData.far_exponent(m)`` > -1, and the Gauss-Jacobi
 rule for that weight integrates the whole tail without truncation.
 
 The value is the order-16 pass, checked against the order-12 pass; orders
-24 and 32 run only while a rung differs from the one below by more than
-the target.
+24 and 32 run only for the points whose rung differs from the one below
+by more than the target.  Each rung runs once for all the points still on
+it: every point's rules are built on their own, and the polar kernel runs
+over blocks of points of up to ``_QUAD_BLOCK_NODES`` grid nodes, sharing
+one Gegenbauer ladder per block.  Each point's value, error estimate and
+convergence flag are those of the point evaluated alone, bit for bit, and
+a block that raises is run again point by point, so the error is the one
+of the first failing row.
 
 A block of points large enough to pay for a fork is cut into contiguous
 slices, one per core of the process's affinity, each computed by a process
 pinned to its core.  Slices hold whole kernel blocks (atom sums) or whole
 points (families), so the values, and the first error in row order, are
-those of a one-process run.
+those of a one-process run.  A family point comes back with its error
+estimate and convergence flag.
 """
 from __future__ import annotations
 
@@ -30,11 +37,11 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, IntegrabilityError, SchemaError
+from .errors import DomainError, HpotError, IntegrabilityError, SchemaError
 from .kernels import (
     KernelConfig,
+    _polar_grids,
     modified_green_values,
-    modified_poisson_polar,
     modified_poisson_values,
 )
 from .geometry import as_coords, as_rows, squared_norms
@@ -54,10 +61,19 @@ _BLOCK_ELEMENTS = 2**14
 # Least work, in point-source pairs, for each process of a forked block
 # evaluation.  On 2 cores a fork of the benchmark's blocks paid from about
 # 60k pairs of Green or Poisson sums (15 ms in one process) and gained a
-# quarter at 120k; a family point counts as 2^13 pairs, the cost of a
-# median point of the Dirichlet benchmark (0.9 to 5 ms by family).
+# quarter at 120k.  A family point counts as 2^12 pairs: with blocked
+# rungs a point of the Dirichlet benchmark costs 0.3 to 0.6 ms (2^10 to
+# 2^11.3 pairs of a Green sum), and a fork of gaussian_bump points ran
+# slower than one process at 16 points and paid from 24 to 48 in repeated
+# runs, so blocks fork from 32 points.
 _FORK_MIN_WORK = 2**16
-_QUAD_POINT_WORK = 2**13
+_QUAD_POINT_WORK = 2**12
+# Grid nodes per block of the polar kernel in a quadrature pass, about six
+# points of the Dirichlet benchmark.  Larger blocks share the ladder and
+# the per-call costs among more points: 2^16 and 2^17 ran 1-15% faster
+# than 2^15 on that benchmark (2 cores) but raised its peak resident set
+# by 0.4 and 1.1 MB more; at 2^15 it reads as with point-by-point passes.
+_QUAD_BLOCK_NODES = 2**15
 _in_child = False  # set in a forked child, which never forks again
 
 
@@ -156,21 +172,21 @@ def _fork_slice(fn, rows, core):
     return pid, rfd
 
 
-def _receive_slice(pid, rfd, rows):
-    """The values one child sent for ``rows``, or None unless it sent
-    exactly one float64 per row (it raised, died or was cut short); the
-    child is reaped either way."""
+def _receive_slice(pid, rfd, shape):
+    """The values one child sent, as an array of ``shape``, or None unless
+    it sent exactly that many float64 values (it raised, died or was cut
+    short); the child is reaped either way."""
     try:
         with os.fdopen(rfd, "rb") as fh:
             data = fh.read()
     finally:
         os.waitpid(pid, 0)
-    return np.frombuffer(data) if len(data) == 8 * len(rows) else None
+    return np.frombuffer(data).reshape(shape) if len(data) == 8 * math.prod(shape) else None
 
 
 def _forked_rows(fn, pts, step, work):
-    """fn(pts) for a function whose (P,) result is computed row by row, with
-    the rows spread over the usable cores.
+    """fn(pts) for a function whose float64 result, (P,) or (P, k), is
+    computed row by row, with the rows spread over the usable cores.
 
     pts is cut into W contiguous slices at multiples of ``step`` rows, W =
     min(usable cores, blocks of ``step`` rows, work // _FORK_MIN_WORK).
@@ -200,7 +216,7 @@ def _forked_rows(fn, pts, step, work):
             part = None
             if child is not None:
                 children[i] = None
-                part = _receive_slice(*child, rows)
+                part = _receive_slice(*child, (len(rows),) + parts[0].shape[1:])
             parts.append(fn(rows) if part is None else part)
     finally:
         _pin(set(cores))
@@ -251,22 +267,35 @@ def _expect(fieldobj: PotentialField, kind: str):
     return fieldobj.source
 
 
-def eval_dirichlet(fieldobj: PotentialField, x):
+def eval_dirichlet(fieldobj: PotentialField, x, *, require_converged=False):
     """Poisson integral at one point (a float) or at each row of a (P, n)
     array (a (P,) array).  Atomic data is a block kernel sum; family data
-    runs the quadrature point by point."""
+    runs each quadrature rung over blocks of points.  With
+    ``require_converged``, a family point whose quadrature misses its error
+    target is a DomainError naming the first such row and its estimate."""
     data = _expect(fieldobj, "dirichlet")
     if data.kind == "atoms":
         return _atom_sum(
             fieldobj.cfg, x, modified_poisson_values, data.points, data.weights
         )
-    pts, single = _eval_points(fieldobj.cfg, x)
+    cfg = fieldobj.cfg
+    pts, single = _eval_points(cfg, x)
 
-    def point_values(rows):
-        return batch_evaluate(lambda p: eval_dirichlet_detailed(fieldobj, p)[0], rows)
+    def detailed_rows(rows):
+        values, meta = _radial_family_quadrature(cfg, rows, data)
+        return np.column_stack((values, meta["rel_err_estimate"], meta["converged"]))
 
-    out = _forked_rows(point_values, pts, 1, len(pts) * _QUAD_POINT_WORK)
-    return float(out[0]) if single else out
+    out = _forked_rows(detailed_rows, pts, 1, len(pts) * _QUAD_POINT_WORK)
+    if require_converged:
+        missed = np.flatnonzero(out[:, 2] == 0.0)
+        if missed.size:
+            i = int(missed[0])
+            where = "(" + ", ".join(format_float(c) for c in pts[i]) + ")"
+            raise DomainError(
+                f"quadrature did not converge at row {i} (x = {where}): "
+                f"rel_err_estimate {format_float(out[i, 1])} exceeds the target {_QUAD_TARGET:g}"
+            )
+    return float(out[0, 0]) if single else out[:, 0].copy()
 
 
 def eval_dirichlet_detailed(fieldobj: PotentialField, x):
@@ -288,12 +317,14 @@ def eval_green_potential(fieldobj: PotentialField, x):
     return _atom_sum(fieldobj.cfg, x, modified_green_values, mu.points, mu.masses)
 
 
-def eval_superposition(vf: PotentialField, hf: PotentialField, x):
+def eval_superposition(vf: PotentialField, hf: PotentialField, x, *, require_converged=False):
     """v(x) + h(x) at one point or at each row of a (P, n) array; both
-    fields must share the kernel configuration."""
+    fields must share the kernel configuration.  ``require_converged`` is
+    passed on to ``eval_dirichlet``."""
     if vf.cfg != hf.cfg:
         raise DomainError("superposition requires matching kernel configs")
-    return eval_dirichlet(vf, x) + eval_green_potential(hf, x)
+    v = eval_dirichlet(vf, x, require_converged=require_converged)
+    return v + eval_green_potential(hf, x)
 
 
 def boundary_limit_probe(fieldobj: PotentialField, xp, heights):
@@ -357,37 +388,93 @@ def _radial_rule(cfg, cx, data, order):
     return rho, w
 
 
-def _quad_pass(cfg, cx, data, radial, order, *, l1=False):
-    """Quadrature value at one rule order; with ``l1``, (value, L1 mass)."""
-    rho, wr = _radial_rule(cfg, cx, data, order)
-    cosg, wg = _gamma_rule(
-        cfg, math.sqrt(max(np.dot(cx, cx) - cx[-1] ** 2, 0.0)), cx[-1], order
-    )
-    # rho as an (R, 1) column: perfbench's route counter broadcasts it to the grid
-    kern = modified_poisson_polar(cfg, cx, rho[:, None], cosg)
-    # an overflow anywhere leaves a sum that is not finite, refused below
-    with np.errstate(over="ignore", invalid="ignore"):
-        radial_weight = wr * radial(rho) * rho ** (cfg.n - 2)
-        value = float(radial_weight @ kern @ wg)
-        mass = float(np.abs(radial_weight) @ np.abs(kern) @ wg) if l1 else 0.0
-    if not (math.isfinite(value) and math.isfinite(mass)):
+def _quad_pass(cfg, x, data, radial, order, *, l1=False):
+    """Quadrature value at one rule order, at one point x (a float) or at
+    each row of a (P, n) block (a (P,) array); with ``l1``, (value, L1 mass).
+
+    Each point's rules are built on their own; the kernel runs over blocks
+    of points holding up to _QUAD_BLOCK_NODES grid nodes (a point with more
+    is a block of its own)."""
+    pts, single = as_rows(x, cfg.n)
+    values, masses = np.empty(len(pts)), np.zeros(len(pts))
+    rules, nodes, first = [], 0, 0
+    for i, cx in enumerate(pts):
+        rho, wr = _radial_rule(cfg, cx, data, order)
+        x_tan = math.sqrt(max(np.dot(cx, cx) - cx[-1] ** 2, 0.0))
+        cosg, wg = _gamma_rule(cfg, x_tan, cx[-1], order)
+        rules.append((rho, wr, cosg, wg))
+        nodes += rho.size * cosg.size
+        if nodes >= _QUAD_BLOCK_NODES or i == len(pts) - 1:
+            block = slice(first, i + 1)
+            values[block], masses[block] = _weighted_sums(cfg, pts[block], radial, rules, l1)
+            rules, nodes, first = [], 0, i + 1
+    if not (np.isfinite(values).all() and np.isfinite(masses).all()):
         raise DomainError("quadrature out of floating-point range: the weighted sum overflows")
-    return (value, mass) if l1 else value
+    if single:
+        return (float(values[0]), float(masses[0])) if l1 else float(values[0])
+    return (values, masses) if l1 else values
 
 
-def _radial_family_quadrature(cfg, cx, data: BoundaryData):
-    # each order is checked against the rung below and the ladder stops at
-    # the first that passes; the order-12 L1 mass sets the error scale
+def _weighted_sums(cfg, pts, radial, rules, l1):
+    """sum_r sum_g w_r |f|(rho_r) rho_r^(n-2) P_m(x, rho_r, cos_g) w_g per
+    point, and the same sum of absolute values when ``l1`` (else 0), from
+    one block call of the polar kernel."""
+    grids = _polar_grids(cfg, pts, [r[0] for r in rules], [r[2] for r in rules])
+    values, masses = np.empty(len(rules)), np.zeros(len(rules))
+    # an overflow anywhere leaves a sum that is not finite, refused by the caller
+    with np.errstate(over="ignore", invalid="ignore"):
+        for p, ((rho, wr, _, wg), kern) in enumerate(zip(rules, grids)):
+            radial_weight = wr * radial(rho) * rho ** (cfg.n - 2)
+            values[p] = radial_weight @ kern @ wg
+            if l1:
+                masses[p] = np.abs(radial_weight) @ np.abs(kern) @ wg
+    return values, masses
+
+
+def _radial_family_quadrature(cfg, x, data: BoundaryData):
+    """(value, {rel_err_estimate, converged}) at one point x, or at each row
+    of a (P, n) block as (P,) arrays.
+
+    Each order is checked against the rung below and a point leaves the
+    ladder at the first that passes; the order-12 L1 mass sets the error
+    scale.  Every rung runs once for all the points still on it.  A block
+    that raises is run again point by point, so the error is the one of the
+    first failing row, as in a loop over the points."""
+    pts, single = as_rows(x, cfg.n)
+    try:
+        values, err, scale, converged = _quadrature_ladder(cfg, pts, data)
+    except HpotError:
+        if len(pts) > 1:
+            for row in pts:
+                _quadrature_ladder(cfg, row[None, :], data)
+        raise
+    rel_err = err / scale
+    if single:
+        return float(values[0]), {
+            "rel_err_estimate": float(rel_err[0]),
+            "converged": bool(converged[0]),
+        }
+    return values, {"rel_err_estimate": rel_err, "converged": converged}
+
+
+def _quadrature_ladder(cfg, pts, data):
+    """Values, error estimates, error scales and convergence flags of the
+    rows of pts (see ``_radial_family_quadrature``)."""
     radial = data.radial()
-    value, l1 = _quad_pass(cfg, cx, data, radial, 12, l1=True)
+    values, l1 = _quad_pass(cfg, pts, data, radial, 12, l1=True)
+    err, scale = np.zeros(len(pts)), np.ones(len(pts))
+    converged = np.zeros(len(pts), dtype=bool)
+    active = np.arange(len(pts))
     for order in (16, 24, 32):
-        below, value = value, _quad_pass(cfg, cx, data, radial, order)
-        err = abs(value - below)
-        scale_ref = max(abs(value), l1 * 1e-3, 1e-300)
-        converged = err <= _QUAD_TARGET * scale_ref
-        if converged:
+        below = values[active]
+        values[active] = _quad_pass(cfg, pts[active], data, radial, order)
+        err[active] = np.abs(values[active] - below)
+        scale[active] = np.maximum(np.maximum(np.abs(values[active]), l1[active] * 1e-3), 1e-300)
+        converged[active] = err[active] <= _QUAD_TARGET * scale[active]
+        active = active[~converged[active]]
+        if not active.size:
             break
-    return value, {"rel_err_estimate": err / scale_ref, "converged": bool(converged)}
+    return values, err, scale, converged
 
 
 # ---------------------------------------------------------------------------

@@ -76,6 +76,70 @@ def test_bad_flags_exit(capsys):
     assert code == 64
 
 
+def test_consecutive_calls_parse_independently(tmp_path, capsys):
+    # the parser is built once per process; each call still sees only its own flags
+    from hpot import cli
+
+    assert cli._build_parser() is cli._build_parser()
+    poisson_argv = ("kernel", "--kind", "P", "--n", "3", "--x", "0,0,1", "--yp", "0,0")
+    code, out, _ = run_cli(capsys, *poisson_argv)
+    assert code == 0 and json.loads(out)["value"] == pytest.approx(1 / (2 * math.pi), rel=1e-15)
+    pts = tmp_path / "p.csv"
+    pts.write_text("x_1,x_2,x_3\n0,0,1\n")
+    code, out, _ = run_cli(
+        capsys, "capacity", "--kind", "boundary", "--points", str(pts), "--nodes", "16"
+    )
+    assert code == 0 and set(json.loads(out)) == {"value", "n_constraints", "n_nodes"}
+    # a flag of the first call does not carry over into the next
+    code, out, err = run_cli(capsys, "kernel", "--kind", "Pm", "--n", "3", "--x", "0,0,1")
+    assert code == 64 and out == "" and err.count("\n") == 1
+    assert json.loads(err)["code"] == "usage"
+    code, _, err = run_cli(capsys, "capacity", "--kind", "boundary", "--x", "1")
+    assert code == 64 and json.loads(err)["code"] == "usage"
+    code, out, _ = run_cli(capsys, *poisson_argv)
+    assert code == 0 and out.startswith('{"value":0.15915494309189535}')
+
+
+def test_unconverged_dirichlet_point_is_domain_error(tmp_path, capsys):
+    # at (1, 0, 1e-5) the quadrature runs to order 32 and misses its target:
+    # the CLI refuses it instead of printing the value
+    data, mu, pts = tmp_path / "data.json", tmp_path / "mu.json", tmp_path / "p.csv"
+    data.write_text(json.dumps(FAMILY))
+    mu.write_text(json.dumps(MU))
+    pts.write_text("x_1,x_2,x_3\n1,0,1\n1,0,1e-5\n1,0,1e-5\n")
+    for kind, extra in (("dirichlet", ()), ("superposition", ("--measure", str(mu)))):
+        code, out, err = run_cli(
+            capsys, "potential", "--kind", kind, "--data", str(data), "--points", str(pts),
+            "--n", "3", "--m", "1", *extra,
+        )
+        assert code == 2 and out == "" and err.count("\n") == 1
+        payload = json.loads(err)
+        assert payload["code"] == "domain"
+        message = payload["message"]
+        assert message.startswith(
+            "quadrature did not converge at row 1 (x = (1, 0, 1.0000000000000001e-05))"
+        )
+        estimate = float(message.split("rel_err_estimate ")[1].split()[0])
+        assert 1e-8 < estimate < 1e-5
+
+
+def test_unconverged_growth_point_is_domain_error(tmp_path, capsys, monkeypatch):
+    # no point meets a zero target: the scan stops at its first point
+    from hpot import potentials
+
+    monkeypatch.setattr(potentials, "_QUAD_TARGET", 0.0)
+    data = tmp_path / "data.json"
+    data.write_text(json.dumps(FAMILY))
+    code, out, err = run_cli(
+        capsys, "growth", "--data", str(data), "--n", "3", "--m", "1", "--alpha", "0.5",
+        "--rays", "2", "--radii", "1:4:2",
+    )
+    assert code == 2 and out == "" and err.count("\n") == 1
+    payload = json.loads(err)
+    assert payload["code"] == "domain"
+    assert payload["message"].startswith("quadrature did not converge at row 0 (x = (")
+
+
 def test_potential_batch(tmp_path, capsys):
     data = tmp_path / "atoms.json"
     data.write_text(json.dumps(ATOMS))
@@ -319,6 +383,22 @@ def test_exceptional_mass_overflow_is_domain_error(tmp_path, capsys):
     assert out == ""
     assert err.count("\n") == 1
     assert json.loads(err)["code"] == "domain"
+
+
+def test_small_beta_underflow_is_named(tmp_path, capsys):
+    # beta = 1e-4: at the lattice point on the atom (0, 0, 4) the crossing
+    # radius |x| (mass/lambda)^(1/beta) = 4 (1/6)^10000 underflows to 0
+    mu = tmp_path / "mu.json"
+    atoms = [{"point": p, "mass": 1.0} for p in ([0, 0, 4], [1, 0, 5], [0, 1, 6])]
+    mu.write_text(json.dumps({"dimension": 3, "atoms": atoms}))
+    code, out, err = run_cli(
+        capsys, "exceptional", "--measure", str(mu), "--beta", "1e-4", "--lambda", "6",
+        "--shells", "1..3",
+    )
+    assert code == 2 and out == "" and err.count("\n") == 1
+    payload = json.loads(err)
+    assert payload["code"] == "domain"
+    assert "beta = 0.0001" in payload["message"] and "underflows" in payload["message"]
 
 
 def test_growth_scan_csv(tmp_path, capsys):

@@ -222,3 +222,39 @@ def test_a_slice_whose_child_raises_is_computed_here(cores):
     assert cores.forks == 1
     assert np.array_equal(got, raises_in_child(pts))
     assert _no_children_left()
+
+
+def test_forked_family_rows_carry_the_estimates(cores, monkeypatch):
+    # each row comes back from a child with its value, error estimate and
+    # convergence flag: the unconverged last row lies in the child's slice
+    from hpot.kernels import KernelConfig
+    from hpot.measures import BoundaryData
+
+    monkeypatch.setattr(potentials, "_FORK_MIN_WORK", potentials._QUAD_POINT_WORK)
+    parent, real_quadrature = os.getpid(), potentials._radial_family_quadrature
+    rows_here = []  # rows evaluated in this process
+
+    def counting_quadrature(cfg, rows, data):
+        if os.getpid() == parent:
+            rows_here.append(len(rows))
+        return real_quadrature(cfg, rows, data)
+
+    monkeypatch.setattr(potentials, "_radial_family_quadrature", counting_quadrature)
+    vf = potentials.dirichlet_field(KernelConfig(3, 1), BoundaryData.power_growth(2, 0.5))
+    pts = np.array([[0.3, 0.2, 1.0], [2.0, -1.0, 0.5], [1.0, 0.0, 3e-5],
+                    [0.0, 0.0, 3.0], [5.0, 1.0, 4.0], [1.0, 0.0, 1e-5]])
+    results = []
+    for k in (1, 2):
+        cores.set(k)
+        forks_before = cores.forks
+        rows_here.clear()
+        values = potentials.eval_dirichlet(vf, pts)
+        with pytest.raises(potentials.DomainError) as refused:
+            potentials.eval_dirichlet(vf, pts, require_converged=True)
+        assert (cores.forks > forks_before) == (k == 2)
+        # with a child, its slice is not computed again here
+        assert rows_here == [6 // k, 6 // k]
+        results.append((values.tobytes(), str(refused.value)))
+    assert results[0] == results[1]
+    assert results[0][1].startswith("quadrature did not converge at row 5 ")
+    assert _no_children_left()

@@ -355,6 +355,79 @@ def test_family_block_is_the_per_point_loop():
     assert np.array_equal(batch_evaluate(lambda p: p[-1], pts[::-1]), pts[::-1, -1])
 
 
+BENCHMARK_FAMILIES = [
+    (C31, BoundaryData.power_growth(2, 0.5)),
+    (KernelConfig(4, 2), BoundaryData.power_growth(3, 1.5)),
+    (C31, BoundaryData.gaussian_bump(2, 1.0, 1.0)),
+    (KernelConfig(3, 2), BoundaryData.indicator_ball(2, 2.0)),
+]
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize(
+    "budget", [None, 1, 20000], ids=["default_budget", "point_blocks", "budget_20000"]
+)
+@pytest.mark.parametrize(
+    "cfg, data", BENCHMARK_FAMILIES,
+    ids=["power_growth_0.5", "power_growth_1.5", "gaussian_bump", "indicator_ball"],
+)
+def test_family_blocks_equal_the_per_point_values(monkeypatch, cfg, data, budget):
+    # a block of 10 points holds about 5e4 nodes per rung, more than one
+    # node budget at the default; every value, estimate and flag is the
+    # per-point one bit for bit
+    if budget is not None:
+        monkeypatch.setattr(potentials, "_QUAD_BLOCK_NODES", budget)
+    rng = np.random.default_rng(cfg.n * 10 + cfg.m)
+    pts = rng.normal(size=(10, cfg.n)) * rng.uniform(0.1, 30.0, (10, 1))
+    pts[:, -1] = np.abs(pts[:, -1]) + 0.05
+    pts[0, :-1] = 0.0  # on the axis
+    vf = dirichlet_field(cfg, data)
+    per_point = [eval_dirichlet_detailed(vf, p) for p in pts]
+    assert _bits(eval_dirichlet(vf, pts)) == _bits([v for v, _ in per_point])
+    values, meta = potentials._radial_family_quadrature(cfg, pts, data)
+    assert _bits(values) == _bits([v for v, _ in per_point])
+    assert _bits(meta["rel_err_estimate"]) == _bits([m["rel_err_estimate"] for _, m in per_point])
+    assert meta["converged"].tolist() == [m["converged"] for _, m in per_point]
+
+
+def test_points_on_different_rungs_share_a_block(quad_passes):
+    # (1, 0, 3e-5) stops at order 24 and (1, 0, 1e-5) runs to order 32
+    # unconverged; each rung runs once, for the points still on it
+    data = BoundaryData.power_growth(2, 0.5)
+    vf = dirichlet_field(C31, data)
+    pts = np.array([[0.3, 0.2, 1.0], [1.0, 0.0, 3e-5], [2.0, -1.0, 0.5], [1.0, 0.0, 1e-5]])
+    per_point = []
+    for p in pts:
+        quad_passes.clear()
+        per_point.append((*eval_dirichlet_detailed(vf, p), list(quad_passes)))
+    assert [passes for _, _, passes in per_point] == [
+        [12, 16], [12, 16, 24], [12, 16], [12, 16, 24, 32]
+    ]
+    assert [m["converged"] for _, m, _ in per_point] == [True, True, True, False]
+    quad_passes.clear()
+    values, meta = potentials._radial_family_quadrature(C31, pts, data)
+    assert quad_passes == [12, 16, 24, 32]
+    assert _bits(values) == _bits([v for v, _, _ in per_point])
+    estimates = [m["rel_err_estimate"] for _, m, _ in per_point]
+    assert _bits(meta["rel_err_estimate"]) == _bits(estimates)
+    assert _bits(eval_dirichlet(vf, pts)) == _bits(values)
+    with pytest.raises(DomainError, match=r"did not converge at row 3 \(x = \(1, 0, 1"):
+        eval_dirichlet(vf, pts, require_converged=True)
+
+
+def test_a_failing_block_raises_the_first_failing_row():
+    # alone, the first point's weighted sum overflows and the second point's
+    # |x - y|^3 does; run as one block, the kernel meets the second first
+    vf = dirichlet_field(KernelConfig(3, 3), BoundaryData.power_growth(2, 3.5))
+    sums, powers = [0.6e60, 0.0, 0.8e60], [1e110, 0.0, 1e110]
+    for pts, words in (([sums, powers], "weighted sum"), ([powers, sums], r"\|x - y\|\^n")):
+        with pytest.raises(DomainError, match=words):
+            eval_dirichlet(vf, np.array(pts))
+
+
 def test_points_below_boundary_are_refused():
     rng = np.random.default_rng(25)
     vf, hf = _atom_fields(C31, rng, 5)
