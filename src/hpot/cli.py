@@ -2,9 +2,19 @@
 
 Subcommands: kernel, potential, exceptional, growth, capacity, thinness.
 Exit codes: 0 success, 2 math-domain error, 3 integrability refusal,
-64 usage, 65 input schema.  Errors go to stderr as one JSON object with a
-stable ``code`` field; all floating-point output uses 17 significant
-digits, so identical invocations (and seeds) produce byte-identical files.
+64 usage, 65 input schema, 73 output file that cannot be written.  Errors
+go to stderr as one JSON object with a stable ``code`` field; all
+floating-point output uses 17 significant digits, so identical invocations
+(and seeds) produce byte-identical files.
+
+Memory policy: the first call of ``main`` in a process, where the C
+library is glibc, sets two malloc parameters through ``ctypes``.
+M_MMAP_THRESHOLD becomes 1 MiB, so the temporaries of a kernel block (a
+few hundred KB each) come from the heap, and M_TRIM_THRESHOLD 128 MiB, so
+the heap memory one block frees is kept for the next instead of being
+given back to the system and faulted in again.  Forked children inherit
+the setting, and it stays for the rest of the process.  It changes no
+arithmetic and so no output; if any step fails, nothing is set.
 """
 from __future__ import annotations
 
@@ -12,6 +22,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -60,9 +71,42 @@ EXIT_DOMAIN = 2
 EXIT_CONDITION = 3
 EXIT_USAGE = 64
 EXIT_SCHEMA = 65
+EXIT_CANTCREAT = 73  # sysexits.h EX_CANTCREAT
+
+# mallopt parameter numbers from glibc's malloc.h
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_heap_kept = False  # set once main has set the memory policy
+
+
+def _keep_freed_heap():
+    """Set the memory policy of the module docstring, once per process.
+
+    Left at glibc's defaults, a block's freed temporaries at the top of the
+    heap go back to the system, and the next block faults the same pages
+    in again: about 42 000 minor faults per superposition benchmark
+    sequence in each process, against about 3 000 with this policy."""
+    global _heap_kept
+    if _heap_kept:
+        return
+    _heap_kept = True
+    try:
+        if not (os.confstr("CS_GNU_LIBC_VERSION") or "").startswith("glibc"):
+            return
+        import ctypes  # here, so that ``import hpot.cli`` imports nothing new
+
+        mallopt = ctypes.CDLL(None).mallopt
+        mallopt(_M_MMAP_THRESHOLD, 1 << 20)
+        mallopt(_M_TRIM_THRESHOLD, 128 << 20)
+    except (AttributeError, ImportError, OSError, TypeError, ValueError):
+        pass  # no confstr, ctypes, C library or mallopt here: keep the defaults
 
 
 class _UsageError(Exception):
+    pass
+
+
+class _OutputError(Exception):
     pass
 
 
@@ -92,18 +136,23 @@ def render_json(obj) -> str:
 
 def _emit(args, text: str):
     if getattr(args, "out", None):
-        with open(args.out, "w", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise _OutputError(f"cannot write --out {args.out}: {exc.strerror or exc}")
     else:
         sys.stdout.write(text)
 
 
 def _read_text_file(path, what):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return fh.read()
     except OSError as exc:
         raise SchemaError(str(exc), what)
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path} is not UTF-8 text: {exc}", what)
 
 
 def _load_json_file(path, what):
@@ -394,6 +443,7 @@ def _error_json(code, message) -> str:
 
 
 def main(argv=None) -> int:
+    _keep_freed_heap()
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -401,6 +451,9 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         sys.stderr.write(_error_json("usage", exc))
         return EXIT_USAGE
+    except _OutputError as exc:
+        sys.stderr.write(_error_json("output", exc))
+        return EXIT_CANTCREAT
     except SchemaError as exc:
         sys.stderr.write(_error_json(exc.code, exc))
         return EXIT_SCHEMA

@@ -54,18 +54,22 @@ from .measures import (
 from .quadrature import inverted_tail_rule, panel_nodes, refined_breakpoints, unit_sphere_area
 
 _QUAD_TARGET = 1e-8
-# point-source pairs per kernel block: large enough to spread the per-call
-# cost of the tail series; on the superposition benchmark 2^16 ran no faster
-# and raised the peak resident set from 44 to 52 MB
+# Point-source pairs per kernel block: large enough to spread the per-call
+# cost of the tail series.  With freed heap kept between blocks (the CLI's
+# memory policy), one-core CPU per superposition benchmark sequence read
+# 0.70 / 0.49 / 0.51 / 0.54 s at 2^13 / 2^14 / 2^15 / 2^16 (medians of 10
+# alternating rounds; 2^15 and 2^16 were lower than 2^14 in 4 and 5 of
+# them) at a peak resident set of 42.4 / 44.3 / 46.8 / 52.9 MB.
 _BLOCK_ELEMENTS = 2**14
 # Least work, in point-source pairs, for each process of a forked block
-# evaluation.  On 2 cores a fork of the benchmark's blocks paid from about
-# 60k pairs of Green or Poisson sums (15 ms in one process) and gained a
-# quarter at 120k.  A family point counts as 2^12 pairs: with blocked
-# rungs a point of the Dirichlet benchmark costs 0.3 to 0.6 ms (2^10 to
-# 2^11.3 pairs of a Green sum), and a fork of gaussian_bump points ran
-# slower than one process at 16 points and paid from 24 to 48 in repeated
-# runs, so blocks fork from 32 points.
+# evaluation.  On 2 cores, with the memory policy, a fork of 5000-atom sums
+# lost at 30k to 60k pairs in all and paid from 90k pairs of a Green sum
+# (21 -> 17 ms, 14 of 15 runs) and 120k of a Poisson sum (14.8 -> 13.9 ms,
+# 12 of 15), so a fork needs 2^16 pairs per process.  A family point counts
+# as 2^12 pairs: with blocked rungs a point of the Dirichlet benchmark costs
+# 0.3 to 0.6 ms (2^10 to 2^11.3 pairs of a Green sum), and a fork of
+# gaussian_bump points ran slower than one process at 16 points and paid
+# from 24 to 48 in repeated runs, so blocks fork from 32 points.
 _FORK_MIN_WORK = 2**16
 _QUAD_POINT_WORK = 2**12
 # Grid nodes per block of the polar kernel in a quadrature pass, about six

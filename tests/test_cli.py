@@ -326,6 +326,47 @@ def test_missing_points_file_is_schema_error(tmp_path, capsys):
         assert payload["message"].startswith("points:")
 
 
+@pytest.mark.parametrize("where", ["missing_dir", "directory"])
+def test_out_that_cannot_be_opened_is_output_error(tmp_path, capsys, where):
+    mu = tmp_path / "mu.json"
+    mu.write_text(json.dumps(MU))
+    pts = tmp_path / "pts.csv"
+    pts.write_text("x_1,x_2,x_3\n0,0,1\n")
+    out = str(tmp_path / "absent" / "o.csv") if where == "missing_dir" else str(tmp_path)
+    code, stdout, err = run_cli(
+        capsys, "potential", "--kind", "green", "--measure", str(mu), "--points", str(pts),
+        "--n", "3", "--m", "1", "--out", out,
+    )
+    assert code == 73
+    assert stdout == ""
+    assert err.count("\n") == 1
+    payload = json.loads(err)
+    assert payload["code"] == "output"
+    assert out in payload["message"]
+
+
+@pytest.mark.parametrize("role", ["points", "measure"])
+def test_input_that_is_not_utf8_is_schema_error(tmp_path, capsys, role):
+    mu = tmp_path / "mu.json"
+    mu.write_text(json.dumps(MU))
+    pts = tmp_path / "pts.csv"
+    pts.write_text("x_1,x_2,x_3\n0,0,1\n")
+    if role == "points":
+        pts.write_bytes(bytes(range(192, 256)))
+    else:
+        mu.write_bytes(b"\xff\xfe" + json.dumps(MU).encode("utf-16-le"))
+    code, out, err = run_cli(
+        capsys, "potential", "--kind", "green", "--measure", str(mu), "--points", str(pts),
+        "--n", "3",
+    )
+    assert code == 65
+    assert out == ""
+    payload = json.loads(err)
+    assert payload["code"] == "schema"
+    assert payload["message"].startswith(f"{role}:")
+    assert "UTF-8" in payload["message"]
+
+
 def test_exceptional_covering_json(tmp_path, capsys):
     mu = tmp_path / "mu.json"
     mu.write_text(json.dumps(MU))
