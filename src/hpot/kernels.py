@@ -7,11 +7,10 @@ which is what lets them absorb boundary data and measures of faster growth.
 Piecewise definitions (plain kernel for sources inside the unit ball) are
 kept exactly; the jump across the unit sphere is measure zero and accepted.
 
-The Cartesian modified kernels (E_m, G_m and P_m) compute their plain
-closed form, which at m = 0 is their value (G_0 drops only C_0, which
-cancels between y and its reflection).  Above, they hand it to one route
-helper, ``_modify``, which picks per element between three routes that
-agree to near machine precision where they overlap:
+The Cartesian modified kernels (E_m, G_m and P_m) are their plain closed
+form at m = 0 (G_0 drops only C_0, which cancels between y and its
+reflection).  Above, each pair takes one of three routes that agree to near
+machine precision where they overlap:
 
 * the plain closed form (sources inside the closed unit ball),
 * closed form minus the finite head of the expansion (sources at moderate
@@ -24,6 +23,15 @@ agree to near machine precision where they overlap:
   tail.  Each element is truncated by its own ratio q = |x|/|y|, once the
   next term's envelope C_k(1) q^k falls below 1e-17 of the leading term's,
   so a batch costs no more terms per element than that element needs.
+
+Sorted by radius, the sources of each route are column ranges of a row,
+and ``_range_values`` runs each step on its own columns, the rows that
+share their ranges at once; sources given in another order are sorted and
+the values put back.  A block whose groups of rows would be too small to
+pay for their numpy calls takes ``_mask_values``, which evaluates the
+closed form on every pair and each route on its gathered pairs.  Both give
+every pair the same arithmetic, so the same bits; a block that raises on
+the ranges is run again by masks, whose error is the one raised.
 
 The polar P_m of the quadrature runs on a grid of source radii (rows, each
 routed by ``_routes``) by cosines: one Gegenbauer ladder over the cosines
@@ -47,7 +55,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, SingularityError
+from .errors import DimensionError, DomainError, HpotError, SingularityError
 from .gegenbauer import recurrence_ladder
 from .geometry import as_coords, as_rows, squared_norms
 
@@ -166,11 +174,10 @@ def gegenbauer_tail_sum(lam, t, q, k_start):
 # ---------------------------------------------------------------------------
 
 
-def _pairs(x, sources, n, width):
+def _operands(x, sources, n, width):
     """Field points as rows xs (P, n), sources as rows ys (N, width), the
-    output shape (x's leading axis, if any, then the sources'), and per pair
-    d2 = |x' - y|^2 and dots = x'.y, x' being the first ``width``
-    coordinates of x, with the norms ax (P, 1) and ay (N,)."""
+    output shape (x's leading axis, if any, then the sources'), and the
+    norms ax (P, 1) and ay (N,)."""
     xs, single = as_rows(x, n)
     ys = np.asarray(sources, dtype=float)
     if ys.shape[-1:] != (width,):
@@ -179,15 +186,27 @@ def _pairs(x, sources, n, width):
     ys = ys.reshape(-1, width)
     ax = np.sqrt(squared_norms(xs))[:, None]
     ay = np.sqrt(squared_norms(ys, "source"))
-    d2, dots, tmp = (np.zeros((len(xs), len(ys))) for _ in range(3))
-    for j in range(width):
-        xj, yj = xs[:, j, None], ys[:, j]
-        np.subtract(xj, yj, out=tmp)
+    return xs, ys, shape, ax, ay
+
+
+def _squared_distances(xs, ys):
+    """|x' - y|^2 for every row x of xs and y of ys, x' being the first
+    ys.shape[1] coordinates of x."""
+    d2, tmp = np.zeros((len(xs), len(ys))), np.empty((len(xs), len(ys)))
+    for j in range(ys.shape[1]):
+        np.subtract(xs[:, j, None], ys[:, j], out=tmp)
         tmp *= tmp
         d2 += tmp
-        np.multiply(xj, yj, out=tmp)
+    return d2
+
+
+def _dots(xs, ys):
+    """x'.y for every row x of xs and y of ys, x' as in ``_squared_distances``."""
+    dots, tmp = np.zeros((len(xs), len(ys))), np.empty((len(xs), len(ys)))
+    for j in range(ys.shape[1]):
+        np.multiply(xs[:, j, None], ys[:, j], out=tmp)
         dots += tmp
-    return xs, ys, shape, d2, dots, ax, ay
+    return dots
 
 
 def _cos_angle(dots, ax, ay):
@@ -196,6 +215,15 @@ def _cos_angle(dots, ax, ay):
     with np.errstate(invalid="ignore", divide="ignore"):
         t = np.where(denom > 0.0, dots / np.where(denom > 0.0, denom, 1.0), 0.0)
     return np.clip(t, -1.0, 1.0)
+
+
+def _cos_outside(dots, ax, ay):
+    """``_cos_angle`` for sources outside the unit ball, computed in dots:
+    there |y| > 1, so |x||y| vanishes only on rows with |x| = 0."""
+    if not ax.all():
+        return _cos_angle(dots, ax, ay)
+    np.divide(dots, ax * ay, out=dots)
+    return np.clip(dots, -1.0, 1.0, out=dots)
 
 
 # ---------------------------------------------------------------------------
@@ -284,6 +312,20 @@ def poisson(cfg: KernelConfig, x, yp) -> float:
 # c = 2), under the seam oracle's 1e-11; order 3 read 4.1e-11 for E_3 at
 # c = 4 (2.3e-13 at c = 2).
 _WIDE_SEAM_ORDERS = 2
+# Least point-source pairs per group of rows (the rows of a block that share
+# their tail seam) for a block to be evaluated by column ranges; a block
+# with smaller groups is evaluated by masks.  Each group costs about 50
+# numpy calls.  Range time over mask time, n = 3, m = 1-2, one core, median
+# of 5 (P rows by N sources sorted by radius): 1.1-1.5 at 1000 pairs per
+# group, 0.93-1.48 at 2000 (0.93-1.11 at 8 x 2000), 0.83-1.03 at 3000,
+# 0.72-1.05 at 5000 (3 x 5000, the superposition benchmark's blocks).
+_GROUP_PAIRS = 3000
+
+
+def _seam(order):
+    """The factor c of the tail seam |y| = c|x| of a kernel that drops its
+    first ``order`` expansion terms."""
+    return 4.0 if order <= _WIDE_SEAM_ORDERS else 2.0
 
 
 def _routes(ax, ay, order):
@@ -291,59 +333,216 @@ def _routes(ax, ay, order):
     direct ones (1 < |y| < c|x|) for a kernel that drops its first ``order``
     expansion terms, c = 4 up to order ``_WIDE_SEAM_ORDERS`` and 2 above;
     the rest keep the plain kernel, every source when ``order`` is 0."""
-    c = 4.0 if order <= _WIDE_SEAM_ORDERS else 2.0
-    outer, far = (ay > 1.0) & (order > 0), ay >= c * ax
+    outer, far = (ay > 1.0) & (order > 0), ay >= _seam(order) * ax
     return outer & far, outer & ~far
 
 
-def _modify(plain, lam, ax, ay, t, order, power, amp):
-    """The modified kernel from the plain kernel values, for sources with
-    |y| > 1 and order >= 1.
+@dataclass(frozen=True)
+class _Kernel:
+    """A Cartesian modified kernel as the block evaluations see it.
 
-    The plain kernel expands as amp * sum_k C_k^lam(t) |x|^k / |y|^(power+k);
-    the modified kernel drops its first ``order`` terms.  ``t`` stacks the
-    cosines along a leading axis: one row, or two (y and its reflection y*)
-    when the kernel is the difference of the two expansions.  ax, ay, amp
-    and each row of t broadcast to plain's shape.  Tail sources (see
-    ``_routes``) take the tail series amp |y|^-power sum_{k >= order} C_k(t) q^k;
-    direct ones subtract the finite head from the closed form, where a power
-    |x|^k or |y|^(power+k) that overflows is a DomainError."""
-    shape = plain.shape
-    out = plain.ravel()
-    ax, ay, amp = (np.broadcast_to(a, shape).ravel() for a in (ax, ay, amp))
-    tail, direct = (np.flatnonzero(r) for r in _routes(ax, ay, order))
-    t = np.broadcast_to(t, t.shape[:1] + shape).reshape(len(t), -1)
-    pair = len(t) == 2
-    if tail.size:
-        ayt = ay[tail]
-        s = gegenbauer_tail_sum(lam, t[:, tail], ax[tail] / ayt, order)
-        s = s[0] - s[1] if pair else s[0]
-        out[tail] = amp[tail] * ayt ** (-float(power)) * s
-    # C_0 = 1 cancels in a pair's difference, so its head starts at degree 1
-    first = 1 if pair else 0
-    if order > first and direct.size:
-        axd, ayd = ax[direct], ay[direct]
-        ladder = recurrence_ladder(lam, order - 1, t[:, direct])
-        ladder = ladder[:, 0] - ladder[:, 1] if pair else ladder[:, 0]
+    Its plain kernel expands as amp * sum_k C_k^lam(t) |x|^k / |y|^(power+k)
+    against sources of ``width`` coordinates, and the modified kernel drops
+    the first ``order`` terms for sources with |y| > 1; order 0 (m = 0)
+    keeps the plain kernel everywhere.  G_m is the difference of the
+    expansions at y and at its reflection y*, so it has two cosines, and
+    C_0 = 1 cancels from its head, which starts at degree ``first`` = 1."""
+
+    cfg: KernelConfig
+    kind: str  # "fundamental", "green" or "poisson"
+    width: int
+    lam: float
+    power: int
+    order: int
+    first: int
+
+    def amp(self, xs):
+        return 2.0 * xs[:, -1:] / self.cfg.omega_n if self.kind == "poisson" else -self.cfg.r_n
+
+    def closed(self, xs, ys, d2, tail=None):
+        """The plain kernel from d2 = |x' - y|^2 on the pairs of rows xs and
+        ys; the P_m pairs in the mask ``tail`` may overflow it."""
+        cfg = self.cfg
+        if self.kind == "fundamental":
+            if np.any(d2 == 0.0):
+                raise SingularityError("modified fundamental solution evaluated at x = y")
+            return -cfg.r_n * d2 ** (0.5 * (2 - cfg.n))
+        if self.kind == "green":
+            return _green_closed_form(cfg, d2, 4.0 * xs[:, -1:] * ys[:, -1])
+        xn = xs[:, -1:]
+        return _poisson_closed_form(cfg, xn, d2 + xn * xn, True if tail is None else ~tail)
+
+    def cosines(self, dots, xn, yn, ax, ay, cos):
+        """The cosines of pairs from their dots x'.y, heights x_n and y_n,
+        and norms, by ``cos``: a list of one array, or for G_m of two, the
+        second for the reflected sources."""
+        if self.kind != "green":
+            return [cos(dots, ax, ay)]
+        star = dots - 2.0 * yn * xn
+        return [cos(dots, ax, ay), cos(star, ax, ay)]
+
+
+def _kernel(cfg, kind):
+    n, m = cfg.n, cfg.m
+    if kind == "poisson":
+        return _Kernel(cfg, kind, n - 1, 0.5 * n, n, m, 0)
+    green = kind == "green"
+    return _Kernel(cfg, kind, n, 0.5 * (n - 2), n - 2, m + (green and m > 0), int(green))
+
+
+def _values(cfg, kind, x, sources):
+    """The modified kernel ``kind`` at x, (n,) or (P, n), against sources
+    of shape (..., width): by column ranges where ``_by_ranges`` takes the
+    block, else by masks."""
+    k = _kernel(cfg, kind)
+    xs, ys, shape, ax, ay = _operands(x, sources, cfg.n, k.width)
+    out = None
+    if k.order and len(xs) * len(ys) >= _GROUP_PAIRS:
+        out = _by_ranges(k, xs, ys, ax, ay)
+    if out is None:
+        out = _mask_values(k, xs, ys, ax, ay)
+    return out.reshape(shape)[()]
+
+
+def _by_ranges(k, xs, ys, ax, ay):
+    """``_range_values`` on the sources sorted by radius (by a stable sort
+    here, unless they come sorted), with the values put back in the sources'
+    order; None when the block's groups of rows hold fewer than
+    ``_GROUP_PAIRS`` pairs on average, or when it raises, so that the mask
+    evaluation raises its own error."""
+    perm = np.argsort(ay, kind="stable") if np.any(ay[1:] < ay[:-1]) else None
+    if perm is not None:
+        ys, ay = ys[perm], ay[perm]
+    start = int(np.searchsorted(ay, 1.0, "right"))
+    ends = np.maximum(np.searchsorted(ay, _seam(k.order) * ax.ravel()), start)
+    splits = np.flatnonzero(np.bincount(ends - start)) + start
+    if len(xs) * len(ys) < _GROUP_PAIRS * len(splits):
+        return None
+    try:
+        vals = _range_values(k, xs, ys, ax, ay, start, ends, splits)
+    except HpotError:
+        return None
+    if perm is None:
+        return vals
+    out = np.empty_like(vals)
+    out[:, perm] = vals
+    return out
+
+
+def _mask_values(k, xs, ys, ax, ay):
+    """k on rows xs (P, n) against sources ys (N, width) in any order: the
+    closed form on every pair, then the tail series on the pairs of the
+    tail mask and the head on those of the direct mask, each gathered.  A
+    (P, N) array; a power |x|^k or |y|^(power+k) of the head that overflows
+    is a DomainError."""
+    d2 = _squared_distances(xs, ys)
+    if not k.order:
+        return k.closed(xs, ys, d2)
+    lam, order, power, first = k.lam, k.order, k.power, k.first
+    tail, direct = _routes(ax, ay, order)
+    # the closed form of a tail pair is overwritten, so P_m's may overflow
+    out = k.closed(xs, ys, d2, tail)
+    flat, dots, amp = out.reshape(-1), _dots(xs, ys).reshape(-1), k.amp(xs)
+    ax = ax[:, 0]
+
+    def gather(mask, cosines=True):
+        """The flat indices of the pairs in mask, with their |x|, |y|, amp
+        and stacked cosines (zeros unless asked for)."""
+        at = np.flatnonzero(mask)
+        r, c = np.divmod(at, len(ys))
+        axr, ayc = ax.take(r), ay.take(c)
+        if cosines:
+            # the heights enter only G_m's cosine with the reflected source
+            heights = (xs[:, -1].take(r), ys[:, -1].take(c)) if k.kind == "green" else (None, None)
+            t = np.stack(k.cosines(dots.take(at), *heights, axr, ayc, _cos_outside))
+        else:
+            t = np.zeros((1, at.size))
+        return at, axr, ayc, (amp if np.ndim(amp) == 0 else amp[:, 0].take(r)), t
+
+    if tail.any():
+        at, axt, ayt, ampt, t = gather(tail)
+        s = gegenbauer_tail_sum(lam, t, axt / ayt, order)
+        s = s[0] - s[1] if len(t) == 2 else s[0]
+        flat[at] = ampt * ayt ** (-float(power)) * s
+    if direct.any():
+        # a head of C_0 = 1 alone (E_1, P_1) reads no cosine
+        at, axd, ayd, ampd, t = gather(direct, order > 1)
+        ladder = recurrence_ladder(lam, order - 1, t)
+        ladder = ladder[:, 0] - ladder[:, 1] if len(t) == 2 else ladder[:, 0]
         head = np.zeros(axd.shape)
-        for k in range(first, order):
-            xk = _finite_powers(axd, k, "|x|^k")
-            head += xk * ladder[k] / _finite_powers(ayd, power + float(k), "|y|^(p+k)")
-        out[direct] -= amp[direct] * head
-    return out.reshape(shape)
+        for j in range(first, order):
+            xk = _finite_powers(axd, j, "|x|^k")
+            head += xk * ladder[j] / _finite_powers(ayd, power + float(j), "|y|^(p+k)")
+        flat[at] -= ampd * head
+    return out
+
+
+def _range_values(k, xs, ys, ax, ay, start, ends, splits):
+    """k on rows xs (P, n) against sources ys (N, width) sorted by their
+    radii ay, nondecreasing: row r's plain, direct and tail sources are the
+    columns [0, start), [start, ends[r]) and [ends[r], N), and ``splits``
+    holds the distinct ends.
+
+    The rows that share an end form one rectangle.  Each step runs only on
+    the columns that need it: the closed form on the plain and direct ones,
+    the cosines beyond the unit sphere, the head on the direct ones, and one
+    tail series call on every row's tail.  Every pair takes the arithmetic
+    of ``_mask_values``, so the values are its bits; an overflowing power
+    raises a DomainError, but not always ``_mask_values``' error."""
+    lam, order, power, first = k.lam, k.order, k.power, k.first
+    n_src = len(ys)
+    out = np.empty((len(xs), n_src))
+    amp = k.amp(xs)
+    lo, hi = int(splits[0]), int(splits[-1])
+    outside = ys[start:]
+    t = k.cosines(_dots(xs, outside), xs[:, -1:], outside[:, -1], ax, ay[start:], _cos_outside)
+    # the powers of the head, each computed once: of the rows with direct
+    # sources and of the direct source radii
+    near = ends > start
+    heads = [
+        (_finite_powers(ax, j, "|x|^k", near[:, None]),
+         _finite_powers(ay[start:hi], power + float(j), "|y|^(p+k)"))
+        for j in range(first, order)
+    ]
+    scale = ay[lo:] ** (-float(power))
+    tails = []
+    for end in splits.tolist():
+        rows = np.flatnonzero(ends == end)
+        if rows[-1] - rows[0] == len(rows) - 1:
+            rows = slice(rows[0], rows[-1] + 1)
+        xr = xs[rows]
+        ampr = amp if np.ndim(amp) == 0 else amp[rows]
+        if end:
+            out[rows, :end] = k.closed(xr, ys[:end], _squared_distances(xr, ys[:end]))
+        if end > start:
+            width = end - start
+            ladder = recurrence_ladder(lam, order - 1, np.stack([tj[rows, :width] for tj in t]))
+            ladder = ladder[:, 0] - ladder[:, 1] if len(t) == 2 else ladder[:, 0]
+            head = np.zeros(ladder.shape[1:])
+            for j, (xk, yk) in enumerate(heads, first):
+                head += xk[rows] * ladder[j] / yk[:width]
+            out[rows, start:end] -= ampr * head
+        if end < n_src:
+            tails.append((rows, end, ampr, ax[rows] / ay[end:]))
+    if tails:
+        tt = np.concatenate(
+            [np.stack([tj[rows, end - start :] for tj in t]).reshape(len(t), -1)
+             for rows, end, _, _ in tails],
+            axis=1,
+        )
+        s = gegenbauer_tail_sum(lam, tt, np.concatenate([q.ravel() for *_, q in tails]), order)
+        s = s[0] - s[1] if len(t) == 2 else s[0]
+        at = 0
+        for rows, end, ampr, q in tails:
+            out[rows, end:] = ampr * scale[end - lo :] * s[at : at + q.size].reshape(q.shape)
+            at += q.size
+    return out
 
 
 def modified_fundamental_values(cfg: KernelConfig, x, ys) -> np.ndarray:
     """Modified fundamental solution at x, shape (n,) or (P, n), against
     sources ys of shape (..., n)."""
-    _, _, shape, d2, dots, ax, ay = _pairs(x, ys, cfg.n, cfg.n)
-    if np.any(d2 == 0.0):
-        raise SingularityError("modified fundamental solution evaluated at x = y")
-    out = -cfg.r_n * d2 ** (0.5 * (2 - cfg.n))
-    if cfg.m:
-        t = _cos_angle(dots, ax, ay)[None]
-        out = _modify(out, 0.5 * (cfg.n - 2), ax, ay, t, cfg.m, cfg.n - 2, -cfg.r_n)
-    return out.reshape(shape)[()]
+    return _values(cfg, "fundamental", x, ys)
 
 
 def modified_fundamental(cfg: KernelConfig, x, y) -> float:
@@ -362,13 +561,7 @@ def modified_green_values(cfg: KernelConfig, x, ys) -> np.ndarray:
     identically for boundary sources.  At m = 0 the one dropped term, C_0,
     cancels between y and y*, so G_0 is the plain Green function for every
     source, exactly symmetric in x and y."""
-    xs, ys, shape, d2, dots, ax, ay = _pairs(x, ys, cfg.n, cfg.n)
-    xn, yn = xs[:, -1:], ys[:, -1]
-    out = _green_closed_form(cfg, d2, 4.0 * xn * yn)
-    if cfg.m:
-        t = np.stack([_cos_angle(dots, ax, ay), _cos_angle(dots - 2.0 * yn * xn, ax, ay)])
-        out = _modify(out, 0.5 * (cfg.n - 2), ax, ay, t, cfg.m + 1, cfg.n - 2, -cfg.r_n)
-    return out.reshape(shape)[()]
+    return _values(cfg, "green", x, ys)
 
 
 def modified_green(cfg: KernelConfig, x, y) -> float:
@@ -383,16 +576,7 @@ def modified_poisson_values(cfg: KernelConfig, x, yps) -> np.ndarray:
 
     May be negative outside the unit ball; reduces to the plain kernel for
     |y'| <= 1 or when the modification order is zero."""
-    xs, _, shape, d2, dots, ax, ay = _pairs(x, yps, cfg.n, cfg.n - 1)
-    xn = xs[:, -1:]
-    if cfg.m == 0:
-        return _poisson_closed_form(cfg, xn, d2 + xn * xn).reshape(shape)[()]
-    tail, _ = _routes(ax, ay, cfg.m)
-    # the closed form of a tail source is overwritten, so it may overflow
-    out = _poisson_closed_form(cfg, xn, d2 + xn * xn, ~tail)
-    t = _cos_angle(dots, ax, ay)[None]
-    out = _modify(out, 0.5 * cfg.n, ax, ay, t, cfg.m, cfg.n, 2.0 * xn / cfg.omega_n)
-    return out.reshape(shape)[()]
+    return _values(cfg, "poisson", x, yps)
 
 
 def modified_poisson(cfg: KernelConfig, x, yp) -> float:

@@ -13,6 +13,7 @@ require before evaluation is allowed.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -313,10 +314,15 @@ def _parse_atoms(atoms, dim, positive):
     """Points and masses (N,) of a JSON atom list
     ``[{"point": [...], "mass": m}, ...]``; ``positive`` requires masses > 0.
 
-    One pass in atom order: the first fault raises a SchemaError at its
-    path, which is formed only then.  The points come back as an array of
-    N lists of dim floats (1-d when N = 0), which the constructors reshape
-    once the dimension has passed their own check."""
+    A list of plain objects, lists and numbers (the types JSON gives) is
+    checked in bulk and converted by numpy.  Any other list takes one pass
+    in atom order, where the first fault raises a SchemaError at its path,
+    which is formed only then.  The points come back as an array of N lists
+    of dim floats (1-d when N = 0), which the constructors reshape once the
+    dimension has passed their own check."""
+    parsed = _parse_plain_atoms(atoms, dim, positive)
+    if parsed is not None:
+        return parsed
     pts, ms = [], []
     for i, atom in enumerate(atoms):
         if not isinstance(atom, dict):
@@ -345,6 +351,32 @@ def _parse_atoms(atoms, dim, positive):
             raise SchemaError("mass must be positive", f"atoms[{i}].mass")
         ms.append(m)
     return np.array(pts), np.array(ms)
+
+
+_NUMBERS = {int, float}
+
+
+def _parse_plain_atoms(atoms, dim, positive):
+    """``_parse_atoms``' result for a list without faults whose objects,
+    points and numbers are exactly dict, list, int and float, else None.
+    Bools and number subclasses are other types; an integer beyond the
+    float range stops the conversion."""
+    if not set(map(type, atoms)) <= {dict}:
+        return None
+    pts = [atom.get("point") for atom in atoms]
+    ms = [atom.get("mass") for atom in atoms]
+    if not (set(map(type, pts)) <= {list} and set(map(len, pts)) <= {dim}):
+        return None
+    if not (set(map(type, itertools.chain.from_iterable(pts))) <= _NUMBERS
+            and set(map(type, ms)) <= _NUMBERS):
+        return None
+    try:
+        pts, ms = np.array(pts, dtype=float), np.array(ms, dtype=float)
+    except OverflowError:
+        return None
+    if positive and np.any(ms <= 0):
+        return None
+    return pts, ms
 
 
 # ---------------------------------------------------------------------------

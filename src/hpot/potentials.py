@@ -56,16 +56,21 @@ from .quadrature import inverted_tail_rule, panel_nodes, refined_breakpoints, un
 _QUAD_TARGET = 1e-8
 # Point-source pairs per kernel block: large enough to spread the per-call
 # cost of the tail series.  With freed heap kept between blocks (the CLI's
-# memory policy), one-core CPU per superposition benchmark sequence read
-# 0.70 / 0.49 / 0.51 / 0.54 s at 2^13 / 2^14 / 2^15 / 2^16 (medians of 10
-# alternating rounds; 2^15 and 2^16 were lower than 2^14 in 4 and 5 of
-# them) at a peak resident set of 42.4 / 44.3 / 46.8 / 52.9 MB.
+# memory policy) and the column-range kernels, one-core CPU of the
+# superposition benchmark's two sums (seed 19) read 0.56 / 0.41 / 0.34 /
+# 0.35 s at 2^13 / 2^14 / 2^15 / 2^16 (medians of 10 alternating rounds;
+# 2^15 and 2^16 were lower than 2^14 in 10 and 9 of them), but 2^15 raised
+# the benchmark's peak resident set from 44.3-45.4 to 47.2-47.4 MB (3 runs
+# each), so the blocks stay at 2^14.
 _BLOCK_ELEMENTS = 2**14
 # Least work, in point-source pairs, for each process of a forked block
-# evaluation.  On 2 cores, with the memory policy, a fork of 5000-atom sums
-# lost at 30k to 60k pairs in all and paid from 90k pairs of a Green sum
-# (21 -> 17 ms, 14 of 15 runs) and 120k of a Poisson sum (14.8 -> 13.9 ms,
-# 12 of 15), so a fork needs 2^16 pairs per process.  A family point counts
+# evaluation.  On 2 cores, with the memory policy and the column-range
+# kernels, a fork of 5000-atom sums (medians of 15 alternating runs) lost
+# at 30k to 60k pairs in all, and paid from 120k pairs of a Green sum
+# (30.7 -> 24.3 ms, 14 of 15 runs) but only from 300k of a Poisson sum
+# (39.1 -> 29.3 ms, 15 of 15; at 240k it was lower in 6 of 15).  2^17 pairs
+# per process would lose the Green sums of 131k-262k pairs, so a fork
+# needs 2^16 pairs per process.  A family point counts
 # as 2^12 pairs: with blocked rungs a point of the Dirichlet benchmark costs
 # 0.3 to 0.6 ms (2^10 to 2^11.3 pairs of a Green sum), and a fork of
 # gaussian_bump points ran slower than one process at 16 points and paid
@@ -239,16 +244,24 @@ def _forked_rows(fn, pts, step, work):
 def _atom_sum(cfg, x, kernel_values, sources, weights):
     """sum_j w_j K(x, s_j) for one point (a float) or for each row of a
     (P, n) array, evaluated in row blocks of at most _BLOCK_ELEMENTS
-    point-source pairs; a large array is spread over the usable cores."""
+    point-source pairs; a large array is spread over the usable cores.
+
+    The kernels run on the sources sorted once by radius (a stable sort),
+    and each block's values are put back in the given source order before
+    the weights are applied, so the sums are those of the unsorted call."""
     pts, single = _eval_points(cfg, x)
     if not len(weights):
         return 0.0 if single else np.zeros(len(pts))
     step = max(1, _BLOCK_ELEMENTS // len(weights))
+    # a source whose squared norm overflows is the kernels' own DomainError
+    perm = np.argsort(np.sqrt(squared_norms(sources, "source")), kind="stable")
+    sources, inv = sources[perm], np.argsort(perm)
 
     def block_sums(rows):
         out = np.empty(len(rows))
         for i in range(0, len(rows), step):
-            out[i : i + step] = kernel_values(cfg, rows[i : i + step], sources) @ weights
+            vals = kernel_values(cfg, rows[i : i + step], sources)
+            out[i : i + step] = np.take(vals, inv, axis=1) @ weights
         return out
 
     out = _forked_rows(block_sums, pts, step, len(pts) * len(weights))

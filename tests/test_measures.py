@@ -259,6 +259,30 @@ def test_atom_lists_of_number_subclasses_parse_alike():
     assert empty.points.shape == (0, 2) and empty.weights.shape == (0,)
 
 
+@pytest.mark.parametrize(
+    "last, path",
+    [
+        ({"point": [1.0, True, 3.0], "mass": 1.0}, "atoms[4999].point[1]"),
+        ({"point": [1.0, 2.0, 10**400], "mass": 1.0}, "atoms[4999].point[2]"),
+        ({"point": [1.0, 2.0], "mass": 1.0}, "atoms[4999].point"),
+        ({"point": [1.0, 2.0, 3.0], "mass": 0}, "atoms[4999].mass"),
+        ({"point": [1.0, 2.0, 3.0], "mass": "1"}, "atoms[4999].mass"),
+        ({"point": [1.0, 2.0, 3.0]}, "atoms[4999].mass"),
+        ([1.0, 2.0, 3.0], "atoms[4999]"),
+    ],
+)
+def test_fault_in_the_last_of_many_atoms(last, path):
+    # the bulk check of a long list still names the one fault at its end
+    rng = np.random.default_rng(5)
+    atoms = [{"point": p.tolist(), "mass": float(w)}
+             for p, w in zip(rng.normal(size=(4999, 3)), rng.uniform(0.1, 1.0, 4999))]
+    good = AtomicMeasure.from_json_dict({"dimension": 3, "atoms": atoms})
+    assert good.points.shape == (4999, 3)
+    with pytest.raises(SchemaError) as err:
+        AtomicMeasure.from_json_dict({"dimension": 3, "atoms": atoms + [last]})
+    assert err.value.path == path
+
+
 @pytest.mark.parametrize("dim", [0, -1])
 def test_non_positive_dimension_is_domain_error(dim):
     with pytest.raises(DomainError):
