@@ -26,6 +26,7 @@ against exhaustive vertex enumeration and the full tableau.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -320,12 +321,21 @@ class ThinnessReport:
         }
 
 
+@functools.lru_cache(maxsize=32)
+def _unit_pattern(count: int, dim: int) -> np.ndarray:
+    """``halton_sequence(count, dim)``, drawn once per size and shared
+    read-only: every shell of a series dilates the same unit pattern."""
+    raw = halton_sequence(count, dim)
+    raw.flags.writeable = False
+    return raw
+
+
 def shell_samples(membership, i: int, cfg: KernelConfig, count: int) -> np.ndarray:
     """Deterministic low-discrepancy samples of the set inside the dyadic
     shell 2^i <= |x| < 2^(i+1) of the half-space."""
     n = cfg.n
     lo, hi = 2.0**i, 2.0 ** (i + 1)
-    raw = halton_sequence(count * 8, n)
+    raw = _unit_pattern(count * 8, n)
     box = np.empty_like(raw)
     box[:, :-1] = (2.0 * raw[:, :-1] - 1.0) * hi
     box[:, -1] = raw[:, -1] * hi
@@ -353,7 +363,7 @@ def window_nodes(kind: str, i: int, cfg: KernelConfig, count: int):
         box_vol = math.inf
     if not math.isfinite(box_vol):
         raise DomainError(f"window {i} has a volume past the floating-point range")
-    raw = halton_sequence(count * 4, d)
+    raw = _unit_pattern(count * 4, d)
     box = np.empty_like(raw)
     if kind == BOUNDARY:
         box[:] = (2.0 * raw - 1.0) * hi

@@ -38,7 +38,10 @@ routed by ``_routes``) by cosines: one Gegenbauer ladder over the cosines
 serves every row, contracted by an ``einsum`` (no BLAS) with q^k up to the
 row's own tail degree, or with the radial factors of the head.  A block of
 points, each with its own grid, shares one ladder over all their cosines
-(``_polar_grids``).
+(``_polar_grids``).  Each point's rows are three ranges, plain, direct and
+tail, which the closed form, the head and the series write as slices of
+its grid; the quadrature's rules come in that order, and rows in another
+order are stable-sorted by route and put back.
 
 The Cartesian kernels take one field point x of shape (n,) or a block of
 points (P, n), giving values of shape (N,) or (P, N) against N sources.
@@ -594,25 +597,29 @@ def modified_poisson_polar(cfg: KernelConfig, x, rho, cos_gamma) -> np.ndarray:
     This is the one-point case of ``_polar_grids``."""
     cx = as_coords(x, cfg.n)
     rho, cos_gamma = (np.ravel(np.asarray(a, dtype=float)) for a in (rho, cos_gamma))
-    return _polar_grids(cfg, cx[None, :], [rho], [cos_gamma])[0]
+    return _polar_grids(cfg, cx[None, :], rho, [rho.size], cos_gamma, [cos_gamma.size])[0]
 
 
-def _polar_grids(cfg: KernelConfig, xs, rhos, cosgs) -> list:
+def _polar_grids(cfg: KernelConfig, xs, rho, sizes, cosg, widths) -> list:
     """The polar grids of ``modified_poisson_polar`` for a block of points:
-    xs is (P, n), and point p's grid, radii rhos[p] by cosines cosgs[p], is
-    an (R_p, G_p) view into one buffer.
+    xs is (P, n), point p's radii and cosines are the next sizes[p] values
+    of rho and the next widths[p] values of cosg, and its grid is a
+    (sizes[p], widths[p]) view into one buffer.
 
-    The steps that are elementwise over rows or cosines run once for the
-    whole block: the routes, the source norms, one Gegenbauer ladder over
-    every cosine of the block, and the powers of the tail and direct rows.
-    The closed form of the near rows and the contractions run point by
-    point on each point's own rows and cosines, so every grid equals the
+    Each point's rows are taken as three ranges, plain, direct and tail, in
+    that order, the order of the quadrature's rules; rows in another order
+    are stable-sorted by route first and their grid rows put back at the
+    end.  The steps that are elementwise over rows or cosines run once for
+    the whole block: the routes, the source norms, one Gegenbauer ladder
+    over every cosine of the block, and the powers of the tail and direct
+    rows.  The closed form and the contractions run point by point, each
+    writing its own rows of the point's grid, so every grid equals the
     one-point call bit for bit.  Each point is checked as in the one-point
     call; when two points fail, which error the block raises is not fixed."""
     n, m, count = cfg.n, cfg.m, len(xs)
     squared_norms(xs)  # an overflowing |x|^2 is refused before np.dot warns
-    sizes = np.array([r.size for r in rhos], dtype=np.int64)
-    widths = np.array([c.size for c in cosgs], dtype=np.int64)
+    sizes = np.asarray(sizes, dtype=np.int64)
+    widths = np.asarray(widths, dtype=np.int64)
     ends = np.cumsum(sizes * widths)
     buf = np.empty(int(ends[-1]) if count else 0)
     grids = [buf[e - r * g : e].reshape(r, g) for e, r, g in zip(ends, sizes, widths)]
@@ -622,64 +629,69 @@ def _polar_grids(cfg: KernelConfig, xs, rhos, cosgs) -> list:
     xn = xs[:, -1]
     ax = np.sqrt(ax2)
     x_tan = np.sqrt(np.maximum(ax2 - xn * xn, 0.0))
-    rho = np.concatenate(rhos)
     owner = np.repeat(np.arange(count), sizes)  # the point of each row
-
-    def row_ends(mask):
-        """Per point, the end of its rows among the rows where mask holds."""
-        return np.cumsum(np.bincount(owner[mask], minlength=count))
-
     tail, direct = _routes(ax[owner], rho, m)
+    key = 3 * owner + direct + 2 * tail
+    perm = np.argsort(key, kind="stable") if np.any(key[1:] < key[:-1]) else None
+    if perm is not None:
+        rho, tail, direct = rho[perm], tail[perm], direct[perm]
+    # per point, the counts of its near (plain and direct), direct and tail
+    # rows and of its cosines, and the first of each among the block's
+    # rows or cosines of that kind; its grid rows are plain, direct, tail
+    n_tail = np.bincount(owner[tail], minlength=count)
+    counts = np.column_stack(
+        (sizes - n_tail, np.bincount(owner[direct], minlength=count), n_tail, widths)
+    )
+    firsts = (np.cumsum(counts, axis=0) - counts).tolist()
+    counts = counts.tolist()
+
     # the closed form only on plain and direct rows: tail rows may overflow it
     near = ~tail
     rn = rho[near]
     sq = squared_norms(rn[:, None], "source")
     cols = (2.0 * x_tan)[owner[near]] * rn
-    a = na = 0
-    for p, (grid, b, nb, cosg) in enumerate(zip(grids, np.cumsum(sizes), row_ends(near), cosgs)):
-        d2 = np.multiply(cols[na:nb, None], cosg)
+    for p, (grid, (na, _, _, g0), (nn, _, _, g)) in enumerate(zip(grids, firsts, counts)):
+        d2 = np.multiply(cols[na : na + nn, None], cosg[g0 : g0 + g])
         np.subtract(ax2[p], d2, out=d2)
-        d2 += sq[na:nb, None]
-        grid[near[a:b]] = _poisson_closed_form(cfg, xn[p], d2)
-        a, na = b, nb
-    if m == 0:
-        return grids
+        d2 += sq[na : na + nn, None]
+        grid[:nn] = _poisson_closed_form(cfg, xn[p], d2)
 
-    lam, amp = 0.5 * n, 2.0 * xn / cfg.omega_n
-    tail_owner, rt = owner[tail], rho[tail]
-    q = ax[tail_owner] / rt
-    degree = m + np.searchsorted(_tail_thresholds(lam, m), q, "right")
-    tail_ends = row_ends(tail)
-    tops = [
-        max(m - 1, int(degree[a:b].max(initial=0)))
-        for a, b in zip(np.append(0, tail_ends[:-1]), tail_ends)
-    ]
-    spread = np.repeat(np.arange(count), widths)  # the point of each cosine
-    axc = ax[spread]
-    t = x_tan[spread] * np.concatenate(cosgs)
-    on_axis = axc == 0.0
-    t /= np.where(on_axis, 1.0, axc)
-    t[on_axis] = 0.0
-    np.clip(t, -1, 1, out=t)
-    ladder = recurrence_ladder(lam, max(tops), t)
-    ks = np.arange(max(tops) + 1)
-    qk = q[:, None] ** ks
-    qk[(ks < m) | (ks > degree[:, None])] = 0.0
-    scale = amp[tail_owner, None] * rt[:, None] ** -float(n)
-    ks = ks[:m]
-    xk = _finite_powers(ax[:, None], ks, "|x|^k")
-    head = xk[owner[direct]] / _finite_powers(rho[direct, None], n + ks, "rho^(n+k)")
-    a = ta = da = g0 = 0
-    for p, (grid, b, tb, db, g1, top) in enumerate(
-        zip(grids, np.cumsum(sizes), tail_ends, row_ends(direct), np.cumsum(widths), tops)
-    ):
-        if tb > ta:
-            series = np.einsum("rk,kg->rg", qk[ta:tb, : top + 1], ladder[: top + 1, g0:g1])
-            series *= scale[ta:tb]
-            grid[tail[a:b]] = series
-        if db > da:
-            grid[direct[a:b]] -= amp[p] * np.einsum("rk,kg->rg", head[da:db], ladder[:m, g0:g1])
-        a, ta, da, g0 = b, tb, db, g1
+    if m:
+        lam, amp = 0.5 * n, 2.0 * xn / cfg.omega_n
+        tail_owner, rt = owner[tail], rho[tail]
+        q = ax[tail_owner] / rt
+        degree = m + np.searchsorted(_tail_thresholds(lam, m), q, "right")
+        tops = [max(m - 1, int(degree[ta : ta + nt].max(initial=0)))
+                for (_, _, ta, _), (_, _, nt, _) in zip(firsts, counts)]
+        spread = np.repeat(np.arange(count), widths)  # the point of each cosine
+        axc = ax[spread]
+        t = x_tan[spread] * cosg
+        on_axis = axc == 0.0
+        t /= np.where(on_axis, 1.0, axc)
+        t[on_axis] = 0.0
+        np.clip(t, -1, 1, out=t)
+        ladder = recurrence_ladder(lam, max(tops), t)
+        ks = np.arange(max(tops) + 1)
+        qk = q[:, None] ** ks
+        qk[(ks < m) | (ks > degree[:, None])] = 0.0
+        scale = amp[tail_owner, None] * rt[:, None] ** -float(n)
+        ks = ks[:m]
+        xk = _finite_powers(ax[:, None], ks, "|x|^k")
+        head = xk[owner[direct]] / _finite_powers(rho[direct, None], n + ks, "rho^(n+k)")
+        for p, (grid, (_, da, ta, g0), (nn, nd, nt, g), top) in enumerate(
+            zip(grids, firsts, counts, tops)
+        ):
+            lad = ladder[:, g0 : g0 + g]
+            if nt:
+                series = np.einsum("rk,kg->rg", qk[ta : ta + nt, : top + 1], lad[: top + 1])
+                series *= scale[ta : ta + nt]
+                grid[nn:] = series
+            if nd:
+                grid[nn - nd : nn] -= amp[p] * np.einsum("rk,kg->rg", head[da : da + nd], lad[:m])
+
+    if perm is not None:
+        for grid, a in zip(grids, (np.cumsum(sizes) - sizes).tolist()):
+            grid[perm[a : a + len(grid)] - a] = grid.copy()
     return grids
 
 

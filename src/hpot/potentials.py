@@ -12,13 +12,15 @@ rule for that weight integrates the whole tail without truncation.
 
 The value is the order-16 pass, checked against the order-12 pass; orders
 24 and 32 run only for the points whose rung differs from the one below
-by more than the target.  Each rung runs once for all the points still on
-it: every point's rules are built on their own, and the polar kernel runs
-over blocks of points of up to ``_QUAD_BLOCK_NODES`` grid nodes, sharing
-one Gegenbauer ladder per block.  Each point's value, error estimate and
-convergence flag are those of the point evaluated alone, bit for bit, and
-a block that raises is run again point by point, so the error is the one
-of the first failing row.
+by more than the target.  Each point's panel breakpoints (radial panels,
+R0, angular panels) are built once for the whole ladder.  Each rung runs
+once for all the points still on it, over blocks of points of up to
+``_QUAD_BLOCK_NODES`` grid nodes: a block's nodes and weights are formed
+in one array pass, each point's radii in the polar kernel's route order
+(plain, direct, tail), and the polar kernel shares one Gegenbauer ladder
+over the block.  Each point's value, error estimate and convergence flag are those
+of the point evaluated alone, bit for bit, and a block that raises is run
+again point by point, so the error is the one of the first failing row.
 
 A block of points large enough to pay for a fork is cut into contiguous
 slices, one per core of the process's affinity, each computed by a process
@@ -51,7 +53,12 @@ from .measures import (
     check_boundary_condition,
     check_measure_condition,
 )
-from .quadrature import inverted_tail_rule, panel_nodes, refined_breakpoints, unit_sphere_area
+from .quadrature import (
+    inverted_tail_rule,
+    refined_breakpoints,
+    tiled_panel_nodes,
+    unit_sphere_area,
+)
 
 _QUAD_TARGET = 1e-8
 # Point-source pairs per kernel block: large enough to spread the per-call
@@ -70,18 +77,38 @@ _BLOCK_ELEMENTS = 2**14
 # (30.7 -> 24.3 ms, 14 of 15 runs) but only from 300k of a Poisson sum
 # (39.1 -> 29.3 ms, 15 of 15; at 240k it was lower in 6 of 15).  2^17 pairs
 # per process would lose the Green sums of 131k-262k pairs, so a fork
-# needs 2^16 pairs per process.  A family point counts
-# as 2^12 pairs: with blocked rungs a point of the Dirichlet benchmark costs
-# 0.3 to 0.6 ms (2^10 to 2^11.3 pairs of a Green sum), and a fork of
-# gaussian_bump points ran slower than one process at 16 points and paid
-# from 24 to 48 in repeated runs, so blocks fork from 32 points.
+# needs 2^16 pairs per process.
 _FORK_MIN_WORK = 2**16
+# Work of one point-source pair of an atom sum, in pairs of a Green sum.  A
+# Poisson pair costs about half a Green pair, and a fork of it paid only
+# from about twice the pairs: on 2 cores, 5000-atom sums (medians of 15
+# alternating runs, repeated) forked lower in 1 to 3 of 15 runs at 120k to
+# 135k Poisson pairs, swung between 0 and 14 of 15 at 165k to 240k, and was
+# lower in 12 to 13 of 15 at 260k to 300k, while a Green sum forked lower
+# in 14 of 15 from 120k.  So a Poisson sum forks from 2^18 pairs.
+_PAIR_WORK = {modified_green_values: 1.0, modified_poisson_values: 0.5}
+# Work of one family point, in pairs of a Green sum; at 2^12 blocks fork
+# from 32 points.  With rules built once per ladder a point of the Dirichlet
+# benchmark costs 0.2 to 0.6 ms on one core (indicator_ball about 0.2,
+# gaussian_bump 0.4 to 0.6), 2^9.3 to 2^10.9 Green pairs.  A fork also
+# costs this process: a forked call on 48 gaussian_bump points took about
+# 830 copy-on-write faults and 4.5 ms of system time per call (1000 in
+# the child).  On 2 cores (medians of 15 alternating runs) a fork of
+# gaussian_bump points was lower in 0 of 15 at 16 points, 5 of 15 at 24
+# and 32, 8 of 15 at 48 and 12 of 15 at 64; of indicator_ball points in 0
+# to 4 of 15 up to 64 and 12 of 15 at 96.  Forking from 64 points (2^11)
+# left the benchmark's 48-point sets in one process, but its wall_s was
+# lower in only 4 of 7 pairs of 10 s runs (seed 47), so 2^12 stays.
 _QUAD_POINT_WORK = 2**12
 # Grid nodes per block of the polar kernel in a quadrature pass, about six
 # points of the Dirichlet benchmark.  Larger blocks share the ladder and
-# the per-call costs among more points: 2^16 and 2^17 ran 1-15% faster
-# than 2^15 on that benchmark (2 cores) but raised its peak resident set
-# by 0.4 and 1.1 MB more; at 2^15 it reads as with point-by-point passes.
+# the per-call costs among more points.  With rules built once per ladder,
+# one-core CPU per sequence of that benchmark (seed 7, medians of 10
+# alternating rounds) read 63.6 / 63.0 / 54.8 / 52.6 ms at 2^14 / 2^15 /
+# 2^16 / 2^17 (2^16 lower than 2^15 in 9 of 10 rounds, 2^17 in 6).  On 2
+# cores 2^16 read wall_s 0.0662 -> 0.0623 s (seed 43, 4 alternating pairs
+# of 10 s runs, lower in 3) but raised peak_rss_mb from 41.0-41.1 to
+# 41.8-41.9 MB, so the blocks stay at 2^15.
 _QUAD_BLOCK_NODES = 2**15
 _in_child = False  # set in a forked child, which never forks again
 
@@ -264,7 +291,8 @@ def _atom_sum(cfg, x, kernel_values, sources, weights):
             out[i : i + step] = np.take(vals, inv, axis=1) @ weights
         return out
 
-    out = _forked_rows(block_sums, pts, step, len(pts) * len(weights))
+    work = len(pts) * len(weights) * _PAIR_WORK.get(kernel_values, 1.0)
+    out = _forked_rows(block_sums, pts, step, int(work))
     return float(out[0]) if single else out
 
 
@@ -345,19 +373,21 @@ def eval_superposition(vf: PotentialField, hf: PotentialField, x, *, require_con
 
 
 def boundary_limit_probe(fieldobj: PotentialField, xp, heights):
-    """Vertical-approach samples: [(t, v((xp, t))) for t in heights].
+    """Vertical-approach samples: [(t, v((xp, t))) for t in heights],
+    evaluated as one block of points once every height is checked.
 
     Only meaningful for continuous family data, where the boundary value is
     a plain function value."""
     if fieldobj.kind != "dirichlet" or fieldobj.source.kind != "family":
         raise DomainError("boundary probes need a dirichlet field with family data")
     cxp = as_coords(xp, fieldobj.cfg.n - 1)
-    out = []
+    ts = []
     for t in heights:
         if not t > 0.0:
             raise DomainError(f"probe heights must be positive, got {t}")
-        out.append((float(t), eval_dirichlet(fieldobj, np.append(cxp, float(t)))))
-    return out
+        ts.append(float(t))
+    pts = np.column_stack((np.tile(cxp, (len(ts), 1)), ts))
+    return list(zip(ts, eval_dirichlet(fieldobj, pts).tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -365,66 +395,128 @@ def boundary_limit_probe(fieldobj: PotentialField, xp, heights):
 # ---------------------------------------------------------------------------
 
 
-def _gamma_rule(cfg: KernelConfig, x_tan: float, xn: float, order: int):
-    """Nodes/weights for the collapsed angular integral
+@dataclass(frozen=True)
+class _Panels:
+    """The quadrature panels of a block of points, the same at every rule
+    order: radial panels [r_lo, r_hi] ascending on [0, R0], r_count of
+    them per point, then, unless the data has finite support, one
+    far-field panel beyond r0 (per point); and angular panels [g_lo, g_hi]
+    on [0, pi], g_count per point."""
+
+    r_lo: np.ndarray
+    r_hi: np.ndarray
+    r_count: np.ndarray
+    r0: np.ndarray | None
+    g_lo: np.ndarray
+    g_hi: np.ndarray
+    g_count: np.ndarray
+
+    def sizes(self, order):
+        """The radii and the cosines of each point at a rule order."""
+        return (self.r_count + (self.r0 is not None)) * order, self.g_count * order
+
+    def take(self, keep):
+        """The panels of the points where the mask ``keep`` holds."""
+        r, g = np.repeat(keep, self.r_count), np.repeat(keep, self.g_count)
+        return _Panels(
+            self.r_lo[r], self.r_hi[r], self.r_count[keep],
+            None if self.r0 is None else self.r0[keep],
+            self.g_lo[g], self.g_hi[g], self.g_count[keep],
+        )
+
+
+def _rule_panels(cfg, pts, data) -> _Panels:
+    """The panels of each row of pts (P, n).  Radially: panels on [0, R0],
+    refined near the kernel peak and with the unit sphere, where the kernel
+    switches branch, as an edge; R0 is the support of finite data, else
+    max(4, 4|x|, 6 scale, 8 x_n), so every source beyond it is on the
+    kernel's tail route.  Angularly, for
     int_{S^{n-2}} g(omega . x'/|x'|) domega
-      = area(S^{n-3}) int_0^pi g(cos gamma) sin^{n-3}(gamma) dgamma,
-    refined toward gamma = 0 where the kernel peaks for off-axis x."""
-    if x_tan > 0.0:
-        g0 = min(max(xn / (x_tan + xn), 1e-4), math.pi / 4)
-        breaks = refined_breakpoints(0.0, math.pi, base_scale=g0)
-    else:
-        breaks = [0.0, math.pi]
-    gam, w = panel_nodes(breaks, order)
-    w = w * np.sin(gam) ** (cfg.n - 3) * unit_sphere_area(cfg.n - 2)
-    return np.cos(gam), w
+      = area(S^{n-3}) int_0^pi g(cos gamma) sin^{n-3}(gamma) dgamma:
+    panels refined toward gamma = 0, where the kernel peaks for off-axis x.
+    The radial and angular rules take |x'| by two expressions, each kept."""
+    support, scale = data.radial_support(), data.radial_scale()
+    radial, angular, r0s = [], [], []
+    for cx in pts:
+        xn = cx[-1]
+        ax = float(np.sqrt(np.dot(cx, cx)))
+        x_tan = math.sqrt(max(ax * ax - xn * xn, 0.0))
+        r0 = support if support is not None else max(4.0, 4.0 * ax, 6.0 * scale, 8.0 * xn)
+        anchors = []
+        if x_tan > 2.0 * xn:
+            anchors.append((x_tan, max(xn, 1e-9 * x_tan)))
+        base = max(min(xn if xn > 0 else scale, scale), 1e-9)
+        breaks = refined_breakpoints(0.0, r0, base_scale=base, anchors=anchors)
+        if 0.0 < 1.0 < r0:
+            breaks = sorted(set(breaks) | {1.0})
+        radial.append(np.asarray(breaks, dtype=float))
+        r0s.append(r0)
+        # the angular rule's |x'|, by its own expression
+        x_tan = math.sqrt(max(np.dot(cx, cx) - cx[-1] ** 2, 0.0))
+        if x_tan > 0.0:
+            g0 = min(max(xn / (x_tan + xn), 1e-4), math.pi / 4)
+            breaks = refined_breakpoints(0.0, math.pi, base_scale=g0)
+        else:
+            breaks = [0.0, math.pi]
+        angular.append(np.asarray(breaks, dtype=float))
+    return _Panels(
+        np.concatenate([b[:-1] for b in radial]),
+        np.concatenate([b[1:] for b in radial]),
+        np.array([b.size - 1 for b in radial]),
+        np.array(r0s, dtype=float) if support is None else None,
+        np.concatenate([b[:-1] for b in angular]),
+        np.concatenate([b[1:] for b in angular]),
+        np.array([b.size - 1 for b in angular]),
+    )
 
 
-def _radial_rule(cfg, cx, data, order):
-    """Panels on [0, R0] plus the inverted far-field rule on [R0, inf); R0
-    is the support of finite data, else max(4, 4|x|, 6 scale, 8 x_n), so
-    every source beyond it is on the kernel's tail route."""
-    xn = cx[-1]
-    ax = float(np.sqrt(np.dot(cx, cx)))
-    x_tan = math.sqrt(max(ax * ax - xn * xn, 0.0))
-    support = data.radial_support()
-    scale = data.radial_scale()
-    r0 = support if support is not None else max(4.0, 4.0 * ax, 6.0 * scale, 8.0 * xn)
-    anchors = []
-    if x_tan > 2.0 * xn:
-        anchors.append((x_tan, max(xn, 1e-9 * x_tan)))
-    base = max(min(xn if xn > 0 else scale, scale), 1e-9)
-    breaks = refined_breakpoints(0.0, r0, base_scale=base, anchors=anchors)
-    # the kernel switches branch at the unit sphere: keep it a panel edge
-    if 0.0 < 1.0 < r0:
-        breaks = sorted(set(breaks) | {1.0})
-    rho, w = panel_nodes(breaks, order)
-    if support is None:
-        far_rho, far_w = inverted_tail_rule(r0, order, data.far_exponent(cfg.m))
-        rho, w = np.concatenate((rho, far_rho)), np.concatenate((w, far_w))
-    return rho, w
+def _pass_rules(cfg, data, panels, order):
+    """The nodes and weights of one rule order for the points of
+    ``panels``: radii rho with weights wr and cosines cosg with weights wg,
+    each point's run of them contiguous (``panels.sizes(order)`` long), its
+    radii those of its panels ascending, then its far panel's.  The
+    Gauss-Legendre nodes of every panel, the far-field panels and the
+    angular weights are formed in one array pass each."""
+    rho, wr = tiled_panel_nodes(panels.r_lo, panels.r_hi, order)
+    if panels.r0 is not None:
+        far_rho, far_w = inverted_tail_rule(panels.r0[:, None], order, data.far_exponent(cfg.m))
+        far = np.zeros(len(rho) + len(far_rho), dtype=bool)
+        far[np.cumsum(panels.r_count + 1) - 1] = True
+        near_rho, near_w = rho, wr
+        rho, wr = np.empty((far.size, order)), np.empty((far.size, order))
+        rho[far], wr[far] = far_rho, far_w
+        rho[~far], wr[~far] = near_rho, near_w
+    gam, wg = tiled_panel_nodes(panels.g_lo, panels.g_hi, order)
+    gam = gam.ravel()
+    wg = wg.ravel() * np.sin(gam) ** (cfg.n - 3) * unit_sphere_area(cfg.n - 2)
+    return rho.ravel(), wr.ravel(), np.cos(gam), wg
 
 
-def _quad_pass(cfg, x, data, radial, order, *, l1=False):
+def _quad_pass(cfg, x, data, radial, order, *, l1=False, panels=None):
     """Quadrature value at one rule order, at one point x (a float) or at
     each row of a (P, n) block (a (P,) array); with ``l1``, (value, L1 mass).
+    ``panels`` are the rows' ``_rule_panels``, built here when not given.
 
-    Each point's rules are built on their own; the kernel runs over blocks
-    of points holding up to _QUAD_BLOCK_NODES grid nodes (a point with more
-    is a block of its own)."""
+    The points run in blocks holding up to _QUAD_BLOCK_NODES grid nodes (a
+    point with more is a block of its own), each with one call of
+    ``_weighted_sums``."""
     pts, single = as_rows(x, cfg.n)
+    if panels is None:
+        panels = _rule_panels(cfg, pts, data)
+    sizes, widths = panels.sizes(order)
     values, masses = np.empty(len(pts)), np.zeros(len(pts))
-    rules, nodes, first = [], 0, 0
-    for i, cx in enumerate(pts):
-        rho, wr = _radial_rule(cfg, cx, data, order)
-        x_tan = math.sqrt(max(np.dot(cx, cx) - cx[-1] ** 2, 0.0))
-        cosg, wg = _gamma_rule(cfg, x_tan, cx[-1], order)
-        rules.append((rho, wr, cosg, wg))
-        nodes += rho.size * cosg.size
-        if nodes >= _QUAD_BLOCK_NODES or i == len(pts) - 1:
-            block = slice(first, i + 1)
-            values[block], masses[block] = _weighted_sums(cfg, pts[block], radial, rules, l1)
-            rules, nodes, first = [], 0, i + 1
+    first = nodes = 0
+    for i, k in enumerate((sizes * widths).tolist()):
+        nodes += k
+        if nodes < _QUAD_BLOCK_NODES and i < len(pts) - 1:
+            continue
+        block = slice(first, i + 1)
+        in_block = np.zeros(len(pts), dtype=bool)
+        in_block[block] = True
+        values[block], masses[block] = _weighted_sums(
+            cfg, pts[block], data, radial, panels.take(in_block), order, l1
+        )
+        first, nodes = i + 1, 0
     if not (np.isfinite(values).all() and np.isfinite(masses).all()):
         raise DomainError("quadrature out of floating-point range: the weighted sum overflows")
     if single:
@@ -432,19 +524,25 @@ def _quad_pass(cfg, x, data, radial, order, *, l1=False):
     return (values, masses) if l1 else values
 
 
-def _weighted_sums(cfg, pts, radial, rules, l1):
+def _weighted_sums(cfg, pts, data, radial, panels, order, l1):
     """sum_r sum_g w_r |f|(rho_r) rho_r^(n-2) P_m(x, rho_r, cos_g) w_g per
-    point, and the same sum of absolute values when ``l1`` (else 0), from
-    one block call of the polar kernel."""
-    grids = _polar_grids(cfg, pts, [r[0] for r in rules], [r[2] for r in rules])
-    values, masses = np.empty(len(rules)), np.zeros(len(rules))
+    point of a block, and the same sum of absolute values when ``l1`` (else
+    0): the block's rules are formed at once (``_pass_rules``), each point's
+    radii in the polar kernel's route order, and the kernel runs once."""
+    rho, wr, cosg, wg = _pass_rules(cfg, data, panels, order)
+    sizes, widths = panels.sizes(order)
+    grids = _polar_grids(cfg, pts, rho, sizes, cosg, widths)
+    values, masses = np.empty(len(pts)), np.zeros(len(pts))
+    row = col = 0
     # an overflow anywhere leaves a sum that is not finite, refused by the caller
     with np.errstate(over="ignore", invalid="ignore"):
-        for p, ((rho, wr, _, wg), kern) in enumerate(zip(rules, grids)):
-            radial_weight = wr * radial(rho) * rho ** (cfg.n - 2)
-            values[p] = radial_weight @ kern @ wg
+        rw = wr * radial(rho) * rho ** (cfg.n - 2)
+        for p, kern in enumerate(grids):
+            rwp, wgp = rw[row : row + kern.shape[0]], wg[col : col + kern.shape[1]]
+            values[p] = rwp @ kern @ wgp
             if l1:
-                masses[p] = np.abs(radial_weight) @ np.abs(kern) @ wg
+                masses[p] = np.abs(rwp) @ np.abs(kern) @ wgp
+            row, col = row + kern.shape[0], col + kern.shape[1]
     return values, masses
 
 
@@ -476,21 +574,26 @@ def _radial_family_quadrature(cfg, x, data: BoundaryData):
 
 def _quadrature_ladder(cfg, pts, data):
     """Values, error estimates, error scales and convergence flags of the
-    rows of pts (see ``_radial_family_quadrature``)."""
-    radial = data.radial()
-    values, l1 = _quad_pass(cfg, pts, data, radial, 12, l1=True)
+    rows of pts (see ``_radial_family_quadrature``).  Each point's panels
+    are built once, for every rung."""
+    if not len(pts):
+        return np.zeros(0), np.zeros(0), np.ones(0), np.zeros(0, dtype=bool)
+    radial, panels = data.radial(), _rule_panels(cfg, pts, data)
+    values, l1 = _quad_pass(cfg, pts, data, radial, 12, l1=True, panels=panels)
     err, scale = np.zeros(len(pts)), np.ones(len(pts))
     converged = np.zeros(len(pts), dtype=bool)
     active = np.arange(len(pts))
     for order in (16, 24, 32):
         below = values[active]
-        values[active] = _quad_pass(cfg, pts[active], data, radial, order)
+        values[active] = _quad_pass(cfg, pts[active], data, radial, order, panels=panels)
         err[active] = np.abs(values[active] - below)
         scale[active] = np.maximum(np.maximum(np.abs(values[active]), l1[active] * 1e-3), 1e-300)
         converged[active] = err[active] <= _QUAD_TARGET * scale[active]
-        active = active[~converged[active]]
+        passed = converged[active]
+        active = active[~passed]
         if not active.size:
             break
+        panels = panels.take(~passed)
     return values, err, scale, converged
 
 

@@ -37,12 +37,13 @@ def _gauss_jacobi(npts: int, beta: float):
     return x, w
 
 
-def inverted_tail_rule(r0: float, npts: int, beta: float):
+def inverted_tail_rule(r0, npts: int, beta: float):
     """Nodes rho > r0 and weights w with sum w F(rho) = int_{r0}^inf F drho
     for F(1/u) u^-2 = u^beta g(u), g smooth: the Gauss-Jacobi rule mapped by
     u = (1+x) / (2 r0).  The weight of the substitution,
     (u0/2)^(beta+1) u^(-2-beta), is written scale-free as
-    rho (1+x)^-(beta+1), so it stays finite for any r0 and beta."""
+    rho (1+x)^-(beta+1), so it stays finite for any r0 and beta.  An r0 of
+    shape (P, 1) gives one rule per row, (P, npts), each that of its r0."""
     x, w = _gauss_jacobi(npts, float(beta))
     rho = 2.0 * r0 / (1.0 + x)
     return rho, w * rho * (1.0 + x) ** -(beta + 1.0)
@@ -56,13 +57,17 @@ def unit_sphere_area(d: int) -> float:
 def panel_nodes(breakpoints, npts: int):
     """Gauss-Legendre nodes/weights tiled over consecutive panels."""
     bs = np.asarray(breakpoints, dtype=float)
+    nodes, weights = tiled_panel_nodes(bs[:-1], bs[1:], npts)
+    return nodes.ravel(), weights.ravel()
+
+
+def tiled_panel_nodes(lo, hi, npts: int):
+    """Gauss-Legendre nodes/weights on the panels [lo[i], hi[i]], one row
+    of npts per panel: (K, npts) arrays for K panels."""
     x, w = _leggauss(npts)
-    lo = bs[:-1]
-    half = 0.5 * (bs[1:] - lo)
+    half = 0.5 * (hi - lo)
     mid = lo + half
-    nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-    weights = (half[:, None] * w[None, :]).ravel()
-    return nodes, weights
+    return mid[:, None] + half[:, None] * x[None, :], half[:, None] * w[None, :]
 
 
 def dyadic_breakpoints(lo: float, hi: float, scale: float) -> list[float]:

@@ -1,4 +1,5 @@
 import importlib
+import json
 
 import numpy as np
 import pytest
@@ -413,3 +414,37 @@ def test_capacity_validation():
         LPInstance(c=np.array([1.0]), A=np.array([[np.inf]]))
     with pytest.raises(DomainError):
         LPInstance(c=np.array([-1.0]), A=np.array([[1.0]]))
+
+
+def test_unit_patterns_are_drawn_once_and_read_only(tmp_path, capsys, monkeypatch):
+    # the thinness and capacity JSON are the bytes of a fresh Halton draw on
+    # every shell, with the pattern cache cold, warm, or bypassed
+    from hpot.cli import main
+    from hpot.quadrature import halton_sequence
+
+    (tmp_path / "set.json").write_text(json.dumps({"shape": "cone", "aperture": 0.5}))
+    (tmp_path / "p.csv").write_text("x_1,x_2,x_3\n0.5,0.2,1\n1,-0.5,2\n")
+    argvs = [["thinness", "--set", str(tmp_path / "set.json"), "--kind", kind, "--n", "3",
+              "--imax", "4", "--e-samples", "16", "--f-nodes", "64"]
+             for kind in (BOUNDARY, HALFSPACE)]
+    argvs.append(["capacity", "--kind", BOUNDARY, "--n", "3", "--points", str(tmp_path / "p.csv"),
+                  "--window", "2", "--nodes", "64"])
+
+    def outputs():
+        runs = []
+        for argv in argvs:
+            assert main(argv) == 0
+            runs.append(capsys.readouterr().out)
+        return runs
+
+    capacity_module._unit_pattern.cache_clear()
+    cold = outputs()
+    assert capacity_module._unit_pattern.cache_info().hits > 0
+    warm = outputs()
+    raw = capacity_module._unit_pattern(64 * 4, 2)
+    assert np.array_equal(raw, halton_sequence(64 * 4, 2))
+    with pytest.raises(ValueError):
+        raw[0, 0] = 0.5
+    monkeypatch.setattr(capacity_module, "_unit_pattern", halton_sequence)
+    assert cold == warm == outputs()
+    assert all(run.startswith("{") for run in cold)

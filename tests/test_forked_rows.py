@@ -258,3 +258,33 @@ def test_forked_family_rows_carry_the_estimates(cores, monkeypatch):
     assert results[0] == results[1]
     assert results[0][1].startswith("quadrature did not converge at row 5 ")
     assert _no_children_left()
+
+
+def test_a_poisson_pair_counts_half_a_green_pair(cores):
+    # 40 x 5000 = 200k pairs: past two processes' worth of Green pairs, but
+    # short of it for Poisson pairs, which count half
+    from hpot.kernels import KernelConfig
+    from hpot.measures import AtomicMeasure, BoundaryData
+
+    rng = np.random.default_rng(44)
+    cfg, atoms = KernelConfig(3, 2), 5000
+    pts = _half_space_points(rng, 40, 3)
+    assert 2 * potentials._FORK_MIN_WORK <= len(pts) * atoms
+    assert len(pts) * atoms * potentials._PAIR_WORK[potentials.modified_poisson_values] < (
+        2 * potentials._FORK_MIN_WORK
+    )
+    boundary = rng.normal(size=(atoms, 2)) * rng.uniform(0.3, 300.0, (atoms, 1))
+    inner = rng.normal(size=(atoms, 3)) * rng.uniform(0.3, 300.0, (atoms, 1))
+    inner[:, -1] = np.abs(inner[:, -1])
+    vf = potentials.dirichlet_field(cfg, BoundaryData.atoms(2, boundary, rng.uniform(-1, 1, atoms)))
+    hf = potentials.green_field(cfg, AtomicMeasure(3, inner, rng.uniform(0.1, 1.0, atoms)))
+    for evaluate, field, forks in ((potentials.eval_dirichlet, vf, 0),
+                                   (potentials.eval_green_potential, hf, 1)):
+        results = []
+        for k in (1, 2):
+            cores.set(k)
+            forks_before = cores.forks
+            results.append(evaluate(field, pts))
+            assert cores.forks - forks_before == (forks if k == 2 else 0), evaluate.__name__
+        assert results[0].tobytes() == results[1].tobytes()
+    assert _no_children_left()
