@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InfeasibleError, NumericalError
-from .kernels import KernelConfig
+from .kernels import KernelConfig, _squared_distances
 from .quadrature import halton_sequence
 
 BOUNDARY = "boundary"
@@ -255,16 +255,11 @@ class CapacityProblem:
 
     def kernel_matrix(self) -> np.ndarray:
         """K(x_j, node_i) as a (points, nodes) array.  The squared distances
-        are summed one coordinate at a time into one buffer, in the order of
-        a sum over the coordinate axis, so no (points, nodes, n) array is
-        formed."""
+        are the kernels' (``_squared_distances``), summed one coordinate at a
+        time, so no (points, nodes, n) array is formed."""
         n = self.cfg.n
-        e, nodes = self.e_points, self.nodes
-        d2, tmp = (np.zeros((len(e), len(nodes))) for _ in range(2))
-        for j in range(nodes.shape[1]):
-            np.subtract(e[:, j, None], nodes[:, j], out=tmp)
-            tmp *= tmp
-            d2 += tmp
+        e = self.e_points
+        d2 = _squared_distances(e, self.nodes)
         if self.kind == BOUNDARY:
             d2 += e[:, -1, None] ** 2
             power = n

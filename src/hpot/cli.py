@@ -341,6 +341,9 @@ def cmd_capacity(args) -> int:
     if n is None:
         header = text.strip().splitlines()[0] if text.strip() else ""
         n = len([h for h in header.split(",") if h.strip().startswith("x_")])
+        if not n:
+            # no header, or one without x_1: the file's schema error, as with --n
+            read_points_csv(text, 1)
     cfg = KernelConfig(n)
     pts = read_points_csv(text, cfg.n)
     nodes, weights = window_nodes(args.kind, args.window, cfg, args.nodes)

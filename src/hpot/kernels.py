@@ -27,11 +27,10 @@ machine precision where they overlap:
 Sorted by radius, the sources of each route are column ranges of a row,
 and ``_range_values`` runs each step on its own columns, the rows that
 share their ranges at once; sources given in another order are sorted and
-the values put back.  A block whose groups of rows would be too small to
-pay for their numpy calls takes ``_mask_values``, which evaluates the
-closed form on every pair and each route on its gathered pairs.  Both give
-every pair the same arithmetic, so the same bits; a block that raises on
-the ranges is run again by masks, whose error is the one raised.
+the values put back.  This is the one evaluation of every block of order
+above 0, one point or many.  It computes every closed form before any
+power of the head, so a block that fails raises the error of the closed
+form where it has one.
 
 The polar P_m of the quadrature runs on a grid of source radii (rows, each
 routed by ``_routes``) by cosines: one Gegenbauer ladder over the cosines
@@ -40,8 +39,9 @@ row's own tail degree, or with the radial factors of the head.  A block of
 points, each with its own grid, shares one ladder over all their cosines
 (``_polar_grids``).  Each point's rows are three ranges, plain, direct and
 tail, which the closed form, the head and the series write as slices of
-its grid; the quadrature's rules come in that order, and rows in another
-order are stable-sorted by route and put back.
+its grid.  The quadrature's rules come in that order; the one-point
+``modified_poisson_polar`` stable-sorts its radii by route and puts the
+rows back.
 
 The Cartesian kernels take one field point x of shape (n,) or a block of
 points (P, n), giving values of shape (N,) or (P, N) against N sources.
@@ -58,7 +58,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, HpotError, SingularityError
+from .errors import DimensionError, DomainError, SingularityError
 from .gegenbauer import recurrence_ladder
 from .geometry import as_coords, as_rows, squared_norms
 
@@ -285,13 +285,12 @@ def _finite_powers(base, exponent, what, where=True):
     return p
 
 
-def _poisson_closed_form(cfg, xn, d2, where=True):
-    """2 x_n / (omega_n d2^(n/2)) from d2 = |x - (y',0)|^2; only the elements
-    where ``where`` holds are refused when d2^(n/2) overflows (the others
-    read 0 and are meant to be overwritten)."""
+def _poisson_closed_form(cfg, xn, d2):
+    """2 x_n / (omega_n d2^(n/2)) from d2 = |x - (y',0)|^2; an overflowing
+    d2^(n/2) is refused."""
     if np.any(d2 <= 0.0):
         raise SingularityError("Poisson kernel evaluated at its boundary source")
-    return 2.0 * xn / (cfg.omega_n * _finite_powers(d2, 0.5 * cfg.n, "|x - y|^n", where))
+    return 2.0 * xn / (cfg.omega_n * _finite_powers(d2, 0.5 * cfg.n, "|x - y|^n"))
 
 
 def poisson(cfg: KernelConfig, x, yp) -> float:
@@ -315,14 +314,6 @@ def poisson(cfg: KernelConfig, x, yp) -> float:
 # c = 2), under the seam oracle's 1e-11; order 3 read 4.1e-11 for E_3 at
 # c = 4 (2.3e-13 at c = 2).
 _WIDE_SEAM_ORDERS = 2
-# Least point-source pairs per group of rows (the rows of a block that share
-# their tail seam) for a block to be evaluated by column ranges; a block
-# with smaller groups is evaluated by masks.  Each group costs about 50
-# numpy calls.  Range time over mask time, n = 3, m = 1-2, one core, median
-# of 5 (P rows by N sources sorted by radius): 1.1-1.5 at 1000 pairs per
-# group, 0.93-1.48 at 2000 (0.93-1.11 at 8 x 2000), 0.83-1.03 at 3000,
-# 0.72-1.05 at 5000 (3 x 5000, the superposition benchmark's blocks).
-_GROUP_PAIRS = 3000
 
 
 def _seam(order):
@@ -362,9 +353,9 @@ class _Kernel:
     def amp(self, xs):
         return 2.0 * xs[:, -1:] / self.cfg.omega_n if self.kind == "poisson" else -self.cfg.r_n
 
-    def closed(self, xs, ys, d2, tail=None):
+    def closed(self, xs, ys, d2):
         """The plain kernel from d2 = |x' - y|^2 on the pairs of rows xs and
-        ys; the P_m pairs in the mask ``tail`` may overflow it."""
+        ys."""
         cfg = self.cfg
         if self.kind == "fundamental":
             if np.any(d2 == 0.0):
@@ -373,7 +364,7 @@ class _Kernel:
         if self.kind == "green":
             return _green_closed_form(cfg, d2, 4.0 * xs[:, -1:] * ys[:, -1])
         xn = xs[:, -1:]
-        return _poisson_closed_form(cfg, xn, d2 + xn * xn, True if tail is None else ~tail)
+        return _poisson_closed_form(cfg, xn, d2 + xn * xn)
 
     def cosines(self, dots, xn, yn, ax, ay, cos):
         """The cosines of pairs from their dots x'.y, heights x_n and y_n,
@@ -395,36 +386,28 @@ def _kernel(cfg, kind):
 
 def _values(cfg, kind, x, sources):
     """The modified kernel ``kind`` at x, (n,) or (P, n), against sources
-    of shape (..., width): by column ranges where ``_by_ranges`` takes the
-    block, else by masks."""
+    of shape (..., width): the closed form on every pair at order 0, else
+    by column ranges (``_by_ranges``)."""
     k = _kernel(cfg, kind)
     xs, ys, shape, ax, ay = _operands(x, sources, cfg.n, k.width)
-    out = None
-    if k.order and len(xs) * len(ys) >= _GROUP_PAIRS:
+    if k.order:
         out = _by_ranges(k, xs, ys, ax, ay)
-    if out is None:
-        out = _mask_values(k, xs, ys, ax, ay)
+    else:
+        out = k.closed(xs, ys, _squared_distances(xs, ys))
     return out.reshape(shape)[()]
 
 
 def _by_ranges(k, xs, ys, ax, ay):
     """``_range_values`` on the sources sorted by radius (by a stable sort
-    here, unless they come sorted), with the values put back in the sources'
-    order; None when the block's groups of rows hold fewer than
-    ``_GROUP_PAIRS`` pairs on average, or when it raises, so that the mask
-    evaluation raises its own error."""
+    here, unless they come sorted), with the values put back in the
+    sources' order."""
     perm = np.argsort(ay, kind="stable") if np.any(ay[1:] < ay[:-1]) else None
     if perm is not None:
         ys, ay = ys[perm], ay[perm]
     start = int(np.searchsorted(ay, 1.0, "right"))
     ends = np.maximum(np.searchsorted(ay, _seam(k.order) * ax.ravel()), start)
     splits = np.flatnonzero(np.bincount(ends - start)) + start
-    if len(xs) * len(ys) < _GROUP_PAIRS * len(splits):
-        return None
-    try:
-        vals = _range_values(k, xs, ys, ax, ay, start, ends, splits)
-    except HpotError:
-        return None
+    vals = _range_values(k, xs, ys, ax, ay, start, ends, splits)
     if perm is None:
         return vals
     out = np.empty_like(vals)
@@ -432,71 +415,36 @@ def _by_ranges(k, xs, ys, ax, ay):
     return out
 
 
-def _mask_values(k, xs, ys, ax, ay):
-    """k on rows xs (P, n) against sources ys (N, width) in any order: the
-    closed form on every pair, then the tail series on the pairs of the
-    tail mask and the head on those of the direct mask, each gathered.  A
-    (P, N) array; a power |x|^k or |y|^(power+k) of the head that overflows
-    is a DomainError."""
-    d2 = _squared_distances(xs, ys)
-    if not k.order:
-        return k.closed(xs, ys, d2)
-    lam, order, power, first = k.lam, k.order, k.power, k.first
-    tail, direct = _routes(ax, ay, order)
-    # the closed form of a tail pair is overwritten, so P_m's may overflow
-    out = k.closed(xs, ys, d2, tail)
-    flat, dots, amp = out.reshape(-1), _dots(xs, ys).reshape(-1), k.amp(xs)
-    ax = ax[:, 0]
-
-    def gather(mask, cosines=True):
-        """The flat indices of the pairs in mask, with their |x|, |y|, amp
-        and stacked cosines (zeros unless asked for)."""
-        at = np.flatnonzero(mask)
-        r, c = np.divmod(at, len(ys))
-        axr, ayc = ax.take(r), ay.take(c)
-        if cosines:
-            # the heights enter only G_m's cosine with the reflected source
-            heights = (xs[:, -1].take(r), ys[:, -1].take(c)) if k.kind == "green" else (None, None)
-            t = np.stack(k.cosines(dots.take(at), *heights, axr, ayc, _cos_outside))
-        else:
-            t = np.zeros((1, at.size))
-        return at, axr, ayc, (amp if np.ndim(amp) == 0 else amp[:, 0].take(r)), t
-
-    if tail.any():
-        at, axt, ayt, ampt, t = gather(tail)
-        s = gegenbauer_tail_sum(lam, t, axt / ayt, order)
-        s = s[0] - s[1] if len(t) == 2 else s[0]
-        flat[at] = ampt * ayt ** (-float(power)) * s
-    if direct.any():
-        # a head of C_0 = 1 alone (E_1, P_1) reads no cosine
-        at, axd, ayd, ampd, t = gather(direct, order > 1)
-        ladder = recurrence_ladder(lam, order - 1, t)
-        ladder = ladder[:, 0] - ladder[:, 1] if len(t) == 2 else ladder[:, 0]
-        head = np.zeros(axd.shape)
-        for j in range(first, order):
-            xk = _finite_powers(axd, j, "|x|^k")
-            head += xk * ladder[j] / _finite_powers(ayd, power + float(j), "|y|^(p+k)")
-        flat[at] -= ampd * head
-    return out
-
-
 def _range_values(k, xs, ys, ax, ay, start, ends, splits):
     """k on rows xs (P, n) against sources ys (N, width) sorted by their
     radii ay, nondecreasing: row r's plain, direct and tail sources are the
     columns [0, start), [start, ends[r]) and [ends[r], N), and ``splits``
-    holds the distinct ends.
+    holds the distinct ends, ascending.
 
-    The rows that share an end form one rectangle.  Each step runs only on
-    the columns that need it: the closed form on the plain and direct ones,
-    the cosines beyond the unit sphere, the head on the direct ones, and one
-    tail series call on every row's tail.  Every pair takes the arithmetic
-    of ``_mask_values``, so the values are its bits; an overflowing power
-    raises a DomainError, but not always ``_mask_values``' error."""
+    The rows that share an end form one group.  Each step runs only on the
+    columns that need it, in this order: the closed form on every group's
+    plain and direct columns, group by group; the cosines beyond the unit
+    sphere; the powers |x|^k and |y|^(power+k) of the head, each computed
+    once; the head of every group on its direct columns; and one tail
+    series call on every group's tail.  So a block that fails raises the
+    error of the first failing step: a pair on the kernel's singularity or
+    an overflowing |x - y|^n of P_m (a block holding both in different
+    groups raises whichever comes first), else an overflowing power of the
+    head, a DomainError.  A (P, N) array."""
     lam, order, power, first = k.lam, k.order, k.power, k.first
     n_src = len(ys)
     out = np.empty((len(xs), n_src))
+    groups = []
+    for end in splits.tolist():
+        rows = np.flatnonzero(ends == end)
+        if rows[-1] - rows[0] == len(rows) - 1:
+            rows = slice(rows[0], rows[-1] + 1)
+        if end:
+            xr = xs[rows]
+            out[rows, :end] = k.closed(xr, ys[:end], _squared_distances(xr, ys[:end]))
+        groups.append((rows, end))
     amp = k.amp(xs)
-    lo, hi = int(splits[0]), int(splits[-1])
+    lo, hi = int(ends.min(initial=n_src)), int(ends.max(initial=start))
     outside = ys[start:]
     t = k.cosines(_dots(xs, outside), xs[:, -1:], outside[:, -1], ax, ay[start:], _cos_outside)
     # the powers of the head, each computed once: of the rows with direct
@@ -509,14 +457,8 @@ def _range_values(k, xs, ys, ax, ay, start, ends, splits):
     ]
     scale = ay[lo:] ** (-float(power))
     tails = []
-    for end in splits.tolist():
-        rows = np.flatnonzero(ends == end)
-        if rows[-1] - rows[0] == len(rows) - 1:
-            rows = slice(rows[0], rows[-1] + 1)
-        xr = xs[rows]
+    for rows, end in groups:
         ampr = amp if np.ndim(amp) == 0 else amp[rows]
-        if end:
-            out[rows, :end] = k.closed(xr, ys[:end], _squared_distances(xr, ys[:end]))
         if end > start:
             width = end - start
             ladder = recurrence_ladder(lam, order - 1, np.stack([tj[rows, :width] for tj in t]))
@@ -594,10 +536,17 @@ def modified_poisson_polar(cfg: KernelConfig, x, rho, cos_gamma) -> np.ndarray:
     angle to the tangential part of x, as an (R, G) array; a scalar counts
     as one value.  A tail row stops at the degree ``gegenbauer_tail_sum``
     gives its q = |x|/rho, and row r equals the call on rho[r] bit for bit.
-    This is the one-point case of ``_polar_grids``."""
+    This is the one-point case of ``_polar_grids``, on the radii
+    stable-sorted by route (plain, direct, tail), its rows put back."""
     cx = as_coords(x, cfg.n)
     rho, cos_gamma = (np.ravel(np.asarray(a, dtype=float)) for a in (rho, cos_gamma))
-    return _polar_grids(cfg, cx[None, :], rho, [rho.size], cos_gamma, [cos_gamma.size])[0]
+    squared_norms(cx[None, :])  # an overflowing |x|^2 is refused before np.dot warns
+    tail, direct = _routes(np.sqrt(float(np.dot(cx, cx))), rho, cfg.m)  # |x| as in _polar_grids
+    key = direct + 2 * tail
+    perm = np.argsort(key, kind="stable") if np.any(key[1:] < key[:-1]) else None
+    ordered = rho if perm is None else rho[perm]
+    grid = _polar_grids(cfg, cx[None, :], ordered, [rho.size], cos_gamma, [cos_gamma.size])[0]
+    return grid if perm is None else grid[np.argsort(perm)]
 
 
 def _polar_grids(cfg: KernelConfig, xs, rho, sizes, cosg, widths) -> list:
@@ -606,15 +555,14 @@ def _polar_grids(cfg: KernelConfig, xs, rho, sizes, cosg, widths) -> list:
     of rho and the next widths[p] values of cosg, and its grid is a
     (sizes[p], widths[p]) view into one buffer.
 
-    Each point's rows are taken as three ranges, plain, direct and tail, in
-    that order, the order of the quadrature's rules; rows in another order
-    are stable-sorted by route first and their grid rows put back at the
-    end.  The steps that are elementwise over rows or cosines run once for
-    the whole block: the routes, the source norms, one Gegenbauer ladder
-    over every cosine of the block, and the powers of the tail and direct
-    rows.  The closed form and the contractions run point by point, each
-    writing its own rows of the point's grid, so every grid equals the
-    one-point call bit for bit.  Each point is checked as in the one-point
+    Each point's radii must come in route order, plain (rho <= 1), direct,
+    then tail, as the quadrature's rules do, and its grid rows are taken as
+    those three ranges.  The steps that are elementwise over rows or
+    cosines run once for the whole block: the routes, the source norms, one
+    Gegenbauer ladder over every cosine of the block, and the powers of the
+    tail and direct rows.  The closed form and the contractions run point
+    by point, each writing its own rows of the point's grid, so every grid
+    equals the one-point call bit for bit.  Each point is checked as in the one-point
     call; when two points fail, which error the block raises is not fixed."""
     n, m, count = cfg.n, cfg.m, len(xs)
     squared_norms(xs)  # an overflowing |x|^2 is refused before np.dot warns
@@ -631,10 +579,6 @@ def _polar_grids(cfg: KernelConfig, xs, rho, sizes, cosg, widths) -> list:
     x_tan = np.sqrt(np.maximum(ax2 - xn * xn, 0.0))
     owner = np.repeat(np.arange(count), sizes)  # the point of each row
     tail, direct = _routes(ax[owner], rho, m)
-    key = 3 * owner + direct + 2 * tail
-    perm = np.argsort(key, kind="stable") if np.any(key[1:] < key[:-1]) else None
-    if perm is not None:
-        rho, tail, direct = rho[perm], tail[perm], direct[perm]
     # per point, the counts of its near (plain and direct), direct and tail
     # rows and of its cosines, and the first of each among the block's
     # rows or cosines of that kind; its grid rows are plain, direct, tail
@@ -688,10 +632,6 @@ def _polar_grids(cfg: KernelConfig, xs, rho, sizes, cosg, widths) -> list:
                 grid[nn:] = series
             if nd:
                 grid[nn - nd : nn] -= amp[p] * np.einsum("rk,kg->rg", head[da : da + nd], lad[:m])
-
-    if perm is not None:
-        for grid, a in zip(grids, (np.cumsum(sizes) - sizes).tolist()):
-            grid[perm[a : a + len(grid)] - a] = grid.copy()
     return grids
 
 

@@ -79,14 +79,6 @@ _BLOCK_ELEMENTS = 2**14
 # per process would lose the Green sums of 131k-262k pairs, so a fork
 # needs 2^16 pairs per process.
 _FORK_MIN_WORK = 2**16
-# Work of one point-source pair of an atom sum, in pairs of a Green sum.  A
-# Poisson pair costs about half a Green pair, and a fork of it paid only
-# from about twice the pairs: on 2 cores, 5000-atom sums (medians of 15
-# alternating runs, repeated) forked lower in 1 to 3 of 15 runs at 120k to
-# 135k Poisson pairs, swung between 0 and 14 of 15 at 165k to 240k, and was
-# lower in 12 to 13 of 15 at 260k to 300k, while a Green sum forked lower
-# in 14 of 15 from 120k.  So a Poisson sum forks from 2^18 pairs.
-_PAIR_WORK = {modified_green_values: 1.0, modified_poisson_values: 0.5}
 # Work of one family point, in pairs of a Green sum; at 2^12 blocks fork
 # from 32 points.  With rules built once per ladder a point of the Dirichlet
 # benchmark costs 0.2 to 0.6 ms on one core (indicator_ball about 0.2,
@@ -291,8 +283,18 @@ def _atom_sum(cfg, x, kernel_values, sources, weights):
             out[i : i + step] = np.take(vals, inv, axis=1) @ weights
         return out
 
-    work = len(pts) * len(weights) * _PAIR_WORK.get(kernel_values, 1.0)
-    out = _forked_rows(block_sums, pts, step, int(work))
+    # Work in pairs of a Green sum.  A Poisson pair (boundary sources, n-1
+    # coordinates) costs about half a Green pair, and a fork of it paid only
+    # from about twice the pairs: on 2 cores, 5000-atom sums (medians of 15
+    # alternating runs, repeated) forked lower in 1 to 3 of 15 runs at 120k
+    # to 135k Poisson pairs, swung between 0 and 14 of 15 at 165k to 240k,
+    # and was lower in 12 to 13 of 15 at 260k to 300k, while a Green sum
+    # forked lower in 14 of 15 from 120k.  So a Poisson sum forks from 2^18
+    # pairs.
+    work = len(pts) * len(weights)
+    if sources.shape[1] == cfg.n - 1:
+        work //= 2
+    out = _forked_rows(block_sums, pts, step, work)
     return float(out[0]) if single else out
 
 
@@ -352,7 +354,11 @@ def eval_dirichlet_detailed(fieldobj: PotentialField, x):
     pts, _ = _eval_points(cfg, as_coords(x, cfg.n))
     if data.kind == "atoms":
         return _atom_sum(cfg, pts[0], modified_poisson_values, data.points, data.weights), {}
-    return _radial_family_quadrature(cfg, pts[0], data)
+    values, meta = _radial_family_quadrature(cfg, pts, data)
+    return float(values[0]), {
+        "rel_err_estimate": float(meta["rel_err_estimate"][0]),
+        "converged": bool(meta["converged"][0]),
+    }
 
 
 def eval_green_potential(fieldobj: PotentialField, x):
@@ -492,17 +498,14 @@ def _pass_rules(cfg, data, panels, order):
     return rho.ravel(), wr.ravel(), np.cos(gam), wg
 
 
-def _quad_pass(cfg, x, data, radial, order, *, l1=False, panels=None):
-    """Quadrature value at one rule order, at one point x (a float) or at
-    each row of a (P, n) block (a (P,) array); with ``l1``, (value, L1 mass).
-    ``panels`` are the rows' ``_rule_panels``, built here when not given.
+def _quad_pass(cfg, pts, data, radial, order, *, panels, l1=False):
+    """Quadrature values at one rule order at each row of a (P, n) block, a
+    (P,) array; with ``l1``, (values, L1 masses).  ``panels`` are the rows'
+    ``_rule_panels``.
 
     The points run in blocks holding up to _QUAD_BLOCK_NODES grid nodes (a
     point with more is a block of its own), each with one call of
     ``_weighted_sums``."""
-    pts, single = as_rows(x, cfg.n)
-    if panels is None:
-        panels = _rule_panels(cfg, pts, data)
     sizes, widths = panels.sizes(order)
     values, masses = np.empty(len(pts)), np.zeros(len(pts))
     first = nodes = 0
@@ -519,8 +522,6 @@ def _quad_pass(cfg, x, data, radial, order, *, l1=False, panels=None):
         first, nodes = i + 1, 0
     if not (np.isfinite(values).all() and np.isfinite(masses).all()):
         raise DomainError("quadrature out of floating-point range: the weighted sum overflows")
-    if single:
-        return (float(values[0]), float(masses[0])) if l1 else float(values[0])
     return (values, masses) if l1 else values
 
 
@@ -546,16 +547,15 @@ def _weighted_sums(cfg, pts, data, radial, panels, order, l1):
     return values, masses
 
 
-def _radial_family_quadrature(cfg, x, data: BoundaryData):
-    """(value, {rel_err_estimate, converged}) at one point x, or at each row
-    of a (P, n) block as (P,) arrays.
+def _radial_family_quadrature(cfg, pts, data: BoundaryData):
+    """(values, {rel_err_estimate, converged}) at each row of a (P, n)
+    block, as (P,) arrays.
 
     Each order is checked against the rung below and a point leaves the
     ladder at the first that passes; the order-12 L1 mass sets the error
     scale.  Every rung runs once for all the points still on it.  A block
     that raises is run again point by point, so the error is the one of the
     first failing row, as in a loop over the points."""
-    pts, single = as_rows(x, cfg.n)
     try:
         values, err, scale, converged = _quadrature_ladder(cfg, pts, data)
     except HpotError:
@@ -563,13 +563,7 @@ def _radial_family_quadrature(cfg, x, data: BoundaryData):
             for row in pts:
                 _quadrature_ladder(cfg, row[None, :], data)
         raise
-    rel_err = err / scale
-    if single:
-        return float(values[0]), {
-            "rel_err_estimate": float(rel_err[0]),
-            "converged": bool(converged[0]),
-        }
-    return values, {"rel_err_estimate": rel_err, "converged": converged}
+    return values, {"rel_err_estimate": err / scale, "converged": converged}
 
 
 def _quadrature_ladder(cfg, pts, data):

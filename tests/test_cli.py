@@ -678,6 +678,25 @@ def test_capacity_command(tmp_path, capsys):
     assert payload["n_constraints"] == 2
 
 
+@pytest.mark.parametrize(
+    "text, code, message",
+    [
+        ("", "schema", "points: empty points file"),
+        ("a,b,c\n0,0,3\n", "schema", "points.header: expected header starting x_1"),
+        ("x_1,x_2\n0,3\n", "domain", "dimension must be an integer >= 3, got 2"),
+    ],
+    ids=["empty", "no_x_column", "two_columns"],
+)
+def test_capacity_without_n_refuses_a_file_without_dimension(tmp_path, capsys, text, code, message):
+    # the dimension is read from the header: none is a schema error, as
+    # with --n; too few columns is the dimension's own domain error
+    pts = tmp_path / "e.csv"
+    pts.write_text(text)
+    exit_code, out, err = run_cli(capsys, "capacity", "--kind", "boundary", "--points", str(pts))
+    assert exit_code == (65 if code == "schema" else 2) and out == ""
+    assert json.loads(err) == {"code": code, "message": message}
+
+
 @pytest.mark.parametrize("kind", ["boundary", "halfspace"])
 def test_capacity_window_past_float_range_is_domain_error(tmp_path, capsys, kind):
     # 2^(i+3) overflows at i = 1021; the window volume already at i = 509

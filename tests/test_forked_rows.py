@@ -270,9 +270,7 @@ def test_a_poisson_pair_counts_half_a_green_pair(cores):
     cfg, atoms = KernelConfig(3, 2), 5000
     pts = _half_space_points(rng, 40, 3)
     assert 2 * potentials._FORK_MIN_WORK <= len(pts) * atoms
-    assert len(pts) * atoms * potentials._PAIR_WORK[potentials.modified_poisson_values] < (
-        2 * potentials._FORK_MIN_WORK
-    )
+    assert len(pts) * atoms // 2 < 2 * potentials._FORK_MIN_WORK
     boundary = rng.normal(size=(atoms, 2)) * rng.uniform(0.3, 300.0, (atoms, 1))
     inner = rng.normal(size=(atoms, 3)) * rng.uniform(0.3, 300.0, (atoms, 1))
     inner[:, -1] = np.abs(inner[:, -1])
@@ -287,4 +285,37 @@ def test_a_poisson_pair_counts_half_a_green_pair(cores):
             results.append(evaluate(field, pts))
             assert cores.forks - forks_before == (forks if k == 2 else 0), evaluate.__name__
         assert results[0].tobytes() == results[1].tobytes()
+    assert _no_children_left()
+
+
+def test_a_wrapped_poisson_kernel_still_counts_half(cores, monkeypatch):
+    # the pair weight is read from the sources, so a wrapper around the
+    # kernel (as a span tracer installs one) does not change the fork:
+    # 40 x 5000 = 200k Poisson pairs stay in one process on two cores
+    import functools
+
+    from hpot.kernels import KernelConfig
+    from hpot.measures import BoundaryData
+
+    real_kernel = potentials.modified_poisson_values
+    calls = []
+
+    @functools.wraps(real_kernel)
+    def wrapped(*args, **kwargs):
+        calls.append(1)
+        return real_kernel(*args, **kwargs)
+
+    rng = np.random.default_rng(45)
+    cfg, atoms = KernelConfig(3, 2), 5000
+    pts = _half_space_points(rng, 40, 3)
+    assert 2 * potentials._FORK_MIN_WORK <= len(pts) * atoms
+    boundary = rng.normal(size=(atoms, 2)) * rng.uniform(0.3, 300.0, (atoms, 1))
+    vf = potentials.dirichlet_field(cfg, BoundaryData.atoms(2, boundary, rng.uniform(-1, 1, atoms)))
+    cores.set(1)
+    want = potentials.eval_dirichlet(vf, pts)
+    monkeypatch.setattr(potentials, "modified_poisson_values", wrapped)
+    cores.set(2)
+    got = potentials.eval_dirichlet(vf, pts)
+    assert calls and cores.forks == 0
+    assert got.tobytes() == want.tobytes()
     assert _no_children_left()
