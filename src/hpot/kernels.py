@@ -32,16 +32,9 @@ above 0, one point or many.  It computes every closed form before any
 power of the head, so a block that fails raises the error of the closed
 form where it has one.
 
-The polar P_m of the quadrature runs on a grid of source radii (rows, each
-routed by ``_routes``) by cosines: one Gegenbauer ladder over the cosines
-serves every row, contracted by an ``einsum`` (no BLAS) with q^k up to the
-row's own tail degree, or with the radial factors of the head.  A block of
-points, each with its own grid, shares one ladder over all their cosines
-(``_polar_grids``).  Each point's rows are three ranges, plain, direct and
-tail, which the closed form, the head and the series write as slices of
-its grid.  The quadrature's rules come in that order; the one-point
-``modified_poisson_polar`` stable-sorts its radii by route and puts the
-rows back.
+The quadrature integrates P_m over boundary spheres (``modified_poisson_sphere``,
+a 2F1 and moments of each point); ``modified_poisson_polar`` gives P_m on a
+grid of radii by cosines.
 
 The Cartesian kernels take one field point x of shape (n,) or a block of
 points (P, n), giving values of shape (N,) or (P, N) against N sources.
@@ -61,6 +54,7 @@ import numpy as np
 from .errors import DimensionError, DomainError, SingularityError
 from .gegenbauer import recurrence_ladder
 from .geometry import as_coords, as_rows, squared_norms
+from .quadrature import unit_sphere_area
 
 _SERIES_CAP = 400
 _SERIES_RTOL = 1e-17
@@ -534,105 +528,195 @@ def modified_poisson_polar(cfg: KernelConfig, x, rho, cos_gamma) -> np.ndarray:
     """Modified Poisson kernel on the polar grid of boundary sources: radii
     rho (raveled, R values) by cosines cos_gamma (raveled, G values) of the
     angle to the tangential part of x, as an (R, G) array; a scalar counts
-    as one value.  A tail row stops at the degree ``gegenbauer_tail_sum``
-    gives its q = |x|/rho, and row r equals the call on rho[r] bit for bit.
-    This is the one-point case of ``_polar_grids``, on the radii
-    stable-sorted by route (plain, direct, tail), its rows put back."""
-    cx = as_coords(x, cfg.n)
-    rho, cos_gamma = (np.ravel(np.asarray(a, dtype=float)) for a in (rho, cos_gamma))
+    as one value.  Each row takes its route (``_routes``), and every step
+    is elementwise, so row r equals the call on rho[r] bit for bit."""
+    n, m = cfg.n, cfg.m
+    cx = as_coords(x, n)
+    rho, cosg = (np.ravel(np.asarray(a, dtype=float)) for a in (rho, cos_gamma))
     squared_norms(cx[None, :])  # an overflowing |x|^2 is refused before np.dot warns
-    tail, direct = _routes(np.sqrt(float(np.dot(cx, cx))), rho, cfg.m)  # |x| as in _polar_grids
-    key = direct + 2 * tail
-    perm = np.argsort(key, kind="stable") if np.any(key[1:] < key[:-1]) else None
-    ordered = rho if perm is None else rho[perm]
-    grid = _polar_grids(cfg, cx[None, :], ordered, [rho.size], cos_gamma, [cos_gamma.size])[0]
-    return grid if perm is None else grid[np.argsort(perm)]
-
-
-def _polar_grids(cfg: KernelConfig, xs, rho, sizes, cosg, widths) -> list:
-    """The polar grids of ``modified_poisson_polar`` for a block of points:
-    xs is (P, n), point p's radii and cosines are the next sizes[p] values
-    of rho and the next widths[p] values of cosg, and its grid is a
-    (sizes[p], widths[p]) view into one buffer.
-
-    Each point's radii must come in route order, plain (rho <= 1), direct,
-    then tail, as the quadrature's rules do, and its grid rows are taken as
-    those three ranges.  The steps that are elementwise over rows or
-    cosines run once for the whole block: the routes, the source norms, one
-    Gegenbauer ladder over every cosine of the block, and the powers of the
-    tail and direct rows.  The closed form and the contractions run point
-    by point, each writing its own rows of the point's grid, so every grid
-    equals the one-point call bit for bit.  Each point is checked as in the one-point
-    call; when two points fail, which error the block raises is not fixed."""
-    n, m, count = cfg.n, cfg.m, len(xs)
-    squared_norms(xs)  # an overflowing |x|^2 is refused before np.dot warns
-    sizes = np.asarray(sizes, dtype=np.int64)
-    widths = np.asarray(widths, dtype=np.int64)
-    ends = np.cumsum(sizes * widths)
-    buf = np.empty(int(ends[-1]) if count else 0)
-    grids = [buf[e - r * g : e].reshape(r, g) for e, r, g in zip(ends, sizes, widths)]
-    if not count:
-        return grids
-    ax2 = np.array([float(np.dot(cx, cx)) for cx in xs])  # as in the one-point call
-    xn = xs[:, -1]
-    ax = np.sqrt(ax2)
-    x_tan = np.sqrt(np.maximum(ax2 - xn * xn, 0.0))
-    owner = np.repeat(np.arange(count), sizes)  # the point of each row
-    tail, direct = _routes(ax[owner], rho, m)
-    # per point, the counts of its near (plain and direct), direct and tail
-    # rows and of its cosines, and the first of each among the block's
-    # rows or cosines of that kind; its grid rows are plain, direct, tail
-    n_tail = np.bincount(owner[tail], minlength=count)
-    counts = np.column_stack(
-        (sizes - n_tail, np.bincount(owner[direct], minlength=count), n_tail, widths)
-    )
-    firsts = (np.cumsum(counts, axis=0) - counts).tolist()
-    counts = counts.tolist()
-
+    ax2, xn = float(np.dot(cx, cx)), cx[-1]
+    ax, x_tan = math.sqrt(ax2), math.sqrt(max(ax2 - xn * xn, 0.0))
+    tail, direct = _routes(ax, rho, m)
+    out = np.empty((rho.size, cosg.size))
     # the closed form only on plain and direct rows: tail rows may overflow it
-    near = ~tail
-    rn = rho[near]
-    sq = squared_norms(rn[:, None], "source")
-    cols = (2.0 * x_tan)[owner[near]] * rn
-    for p, (grid, (na, _, _, g0), (nn, _, _, g)) in enumerate(zip(grids, firsts, counts)):
-        d2 = np.multiply(cols[na : na + nn, None], cosg[g0 : g0 + g])
-        np.subtract(ax2[p], d2, out=d2)
-        d2 += sq[na : na + nn, None]
-        grid[:nn] = _poisson_closed_form(cfg, xn[p], d2)
-
+    rn = rho[~tail, None]
+    d2 = ax2 - (2.0 * x_tan) * rn * cosg + squared_norms(rn, "source")[:, None]
+    out[~tail] = _poisson_closed_form(cfg, xn, d2)
     if m:
         lam, amp = 0.5 * n, 2.0 * xn / cfg.omega_n
-        tail_owner, rt = owner[tail], rho[tail]
-        q = ax[tail_owner] / rt
-        degree = m + np.searchsorted(_tail_thresholds(lam, m), q, "right")
-        tops = [max(m - 1, int(degree[ta : ta + nt].max(initial=0)))
-                for (_, _, ta, _), (_, _, nt, _) in zip(firsts, counts)]
-        spread = np.repeat(np.arange(count), widths)  # the point of each cosine
-        axc = ax[spread]
-        t = x_tan[spread] * cosg
-        on_axis = axc == 0.0
-        t /= np.where(on_axis, 1.0, axc)
-        t[on_axis] = 0.0
-        np.clip(t, -1, 1, out=t)
-        ladder = recurrence_ladder(lam, max(tops), t)
-        ks = np.arange(max(tops) + 1)
-        qk = q[:, None] ** ks
-        qk[(ks < m) | (ks > degree[:, None])] = 0.0
-        scale = amp[tail_owner, None] * rt[:, None] ** -float(n)
-        ks = ks[:m]
-        xk = _finite_powers(ax[:, None], ks, "|x|^k")
-        head = xk[owner[direct]] / _finite_powers(rho[direct, None], n + ks, "rho^(n+k)")
-        for p, (grid, (_, da, ta, g0), (nn, nd, nt, g), top) in enumerate(
-            zip(grids, firsts, counts, tops)
-        ):
-            lad = ladder[:, g0 : g0 + g]
-            if nt:
-                series = np.einsum("rk,kg->rg", qk[ta : ta + nt, : top + 1], lad[: top + 1])
-                series *= scale[ta : ta + nt]
-                grid[nn:] = series
-            if nd:
-                grid[nn - nd : nn] -= amp[p] * np.einsum("rk,kg->rg", head[da : da + nd], lad[:m])
-    return grids
+        t = np.clip(x_tan * cosg / ax, -1, 1) if ax else np.zeros(cosg.size)
+        rt = rho[tail, None]
+        out[tail] = amp * rt ** -float(n) * gegenbauer_tail_sum(lam, t, ax / rt, m)
+        ks = np.arange(m)
+        head = _finite_powers(ax, ks, "|x|^k")
+        head = head / _finite_powers(rho[direct, None], n + ks, "rho^(n+k)")
+        out[direct] -= amp * np.einsum("rk,kg->rg", head, recurrence_ladder(lam, m - 1, t))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# the modified Poisson kernel over boundary spheres
+# ---------------------------------------------------------------------------
+
+
+_U_SPLIT = (math.sqrt(2.0) - 1.0) ** 2  # both series of _sphere_series converge like 0.17^k there
+
+
+@functools.lru_cache(maxsize=None)
+def _sphere_series(n):
+    """The series of the angular integral of the plain kernel,
+
+        S(a, b) = int_0^pi (a - b cos g)^(-n/2) sin^(n-3) g dg
+                = B (a+b)^(-n/2) 2F1(n/2, n/2 - 1; n - 2; w),  w = 2b/(a+b),
+
+    B = B((n-2)/2, 1/2), in u = 1 - w = (a-b)/(a+b), as (gauss, c1, logs).
+    For u >= ``_U_SPLIT``, B 2F1 = ((1 + sqrt u)/2)^-n sum gauss_k z^k,
+    z = ((1 - sqrt u)/(1 + sqrt u))^2 (the quadratic transformation of
+    2F1(a, b; 2b; w), DLMF 15.8.13); below, c1/u + ln(u) sum logs_k0 u^k +
+    sum logs_k1 u^k (Abramowitz & Stegun 15.3.12, c = a + b - 1; at n = 4
+    logs is empty and c1/u exact).  Each runs until its terms at the split
+    fall below 2^-57 of the value, so its length grows with n.  Against
+    mpmath: 8.3e-16 for n <= 6, 1.8e-14 at n = 9 and 10."""
+    al, be, ga = 0.5 * n, 0.5 * n - 1.0, n - 2.0
+    b = math.sqrt(math.pi) * math.gamma(be) / math.gamma(0.5 * (n - 1))
+    z = ((1.0 - math.sqrt(_U_SPLIT)) / (1.0 + math.sqrt(_U_SPLIT))) ** 2
+    gauss, k = [b], 0
+    while k < n or gauss[-1] * z**k >= 2.0**-57 * b:
+        gauss.append(gauss[-1] * (al + k) * (1.5 + k) / ((0.5 * (n - 1) + k) * (k + 1.0)))
+        k += 1
+    c1 = b * math.gamma(ga) / (math.gamma(al) * math.gamma(be))
+    h = 0.0 if n == 4 else b * math.gamma(ga) / (math.gamma(al - 1.0) * math.gamma(be - 1.0))
+    # e = psi(al) + psi(be) - psi(1) - psi(2) = 2 (psi(be) - psi(1)) + 1/be - 1, with
+    # psi(be) - psi(1) summed up from 1, or from psi(1/2) - psi(1) = -2 ln 2
+    shift = sum(1.0 / t for t in np.arange(be % 1 or 1.0, be))
+    shift -= 2.0 * math.log(2.0) if be % 1 else 0.0
+    e, k, logs = 2.0 * shift + 1.0 / be - 1.0, 0, []
+    while h and (k < n or abs(h) * (2.0 + abs(e)) * _U_SPLIT**k >= 2.0**-57 * c1 / _U_SPLIT):
+        logs.append((h, h * e))
+        e += 1.0 / (al + k) + 1.0 / (be + k) - 1.0 / (k + 1.0) - 1.0 / (k + 2.0)
+        h *= (al + k) * (be + k) / ((k + 1.0) * (k + 2.0))
+        k += 1
+    return gauss, c1, np.array(logs).reshape(-1, 2)
+
+
+def _sphere_plain(cfg, xt, xn, rho, gap):
+    """S(a, b) of ``_sphere_series`` for tangential norms xt, heights xn,
+    radii rho and gaps rho - xt, elementwise: a -+ b = gap^2 + x_n^2 and
+    (rho + xt)^2 + x_n^2.  An overflowing (a+b)^(n/2) is a DomainError."""
+    gauss, c1, logs = _sphere_series(cfg.n)
+    with np.errstate(over="ignore"):
+        dm, dp = gap * gap + xn * xn, (rho + xt) ** 2 + xn * xn
+    if np.any(dm <= 0.0):
+        raise SingularityError("Poisson kernel evaluated at its boundary source")
+    power = _finite_powers(dp, 0.5 * cfg.n, "|x - y|^n")
+    u = dm / dp
+    out = np.empty(u.shape)
+    low = (u >= _U_SPLIT) & bool(logs.size)
+    polyval = np.polynomial.polynomial.polyval  # Horner's rule, elementwise
+    root = 1.0 + np.sqrt(u[low])  # 1 - sqrt(u) = w / (1 + sqrt(u)), w = 4 rho |x'| / dp
+    z = (4.0 * rho[low] * xt[low] / (dp[low] * root * root)) ** 2
+    out[low] = polyval(z, gauss) * (0.5 * root) ** -float(cfg.n)
+    u = u[~low]
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        both = polyval(u, logs) if logs.size else np.zeros((2, u.size))
+        out[~low] = c1 / u + (np.log(u) * both[0] + both[1])
+        return out / power
+
+
+@functools.lru_cache(maxsize=None)
+def _moment_rule(n, top):
+    """Nodes c = cos(t) > 0 and weights w, exact for int_{-1}^{1} g(c)
+    (1 - c^2)^((n-4)/2) dc, g even of degree <= top: the midpoint rule in t
+    for odd n, Fejer's first rule times the weight for even n, folded onto
+    c > 0.  Gauss weights from eigenvectors (Golub-Welsch, or numpy's
+    ``leggauss``) were off by up to 1.5e-14."""
+    half = (top + n) // (4 if n % 2 else 2) + 1
+    t = (np.arange(half) + 0.5) * (0.5 * math.pi / half)
+    if n % 2:
+        w = math.pi / half * np.sin(t) ** (n - 3)
+    else:
+        k = np.arange(1, half + 1)
+        fejer = 1.0 - 2.0 * (np.cos(2.0 * np.outer(t, k)) / (4.0 * k * k - 1.0)).sum(axis=1)
+        w = 2.0 / half * fejer * np.sin(t) ** (n - 4)
+    c = np.cos(t)
+    c.flags.writeable = w.flags.writeable = False  # shared by every caller
+    return c, w
+
+
+def _sphere_geometry(xs):
+    """|x|, |x'| and x_n of each row of xs (P, n), |x|^2 = |x'|^2 + x_n^2."""
+    xt2, xn = squared_norms(xs[:, :-1]), xs[:, -1]
+    return np.sqrt(xt2 + xn * xn), np.sqrt(xt2), xn
+
+
+def sphere_moments(cfg: KernelConfig, xs) -> np.ndarray:
+    """M_k(s) = int_0^pi C_k^(n/2)(s cos g) sin^(n-3) g dg, s = |x'|/|x|
+    (0 at the origin), for each row of xs (P, n) and k up to the tail
+    route's top degree (q <= 1/c), at least m - 1: a (P, K+1) array (empty
+    at m = 0), odd degrees 0.  ``_moment_rule`` is exact for them and fixed
+    by n and m, so a row is the one-row call's bit for bit."""
+    n, m, lam = cfg.n, cfg.m, 0.5 * cfg.n
+    if not m:
+        return np.zeros((len(xs), 0))
+    top = max(m - 1, m + int(np.searchsorted(_tail_thresholds(lam, m), 1.0 / _seam(m), "right")))
+    c, w = _moment_rule(n, top)
+    ax, xt, _ = _sphere_geometry(xs)
+    t = np.divide(xt, ax, out=np.zeros(len(xs)), where=ax > 0.0)[:, None] * c
+    out = np.zeros((len(xs), top + 1))
+    older, newer = np.ones(t.shape), 2.0 * lam * t
+    out[:, 0] = np.sum(older * w, axis=1)
+    for k in range(2, top + 1):
+        older *= -(k + 2.0 * lam - 2.0) / k
+        older += 2.0 * (k + lam - 1.0) / k * t * newer
+        older, newer = newer, older
+        if k % 2 == 0:
+            out[:, k] = np.sum(newer * w, axis=1)
+    return out
+
+
+def modified_poisson_sphere(cfg: KernelConfig, xs, rho, owner, moments, gap) -> np.ndarray:
+    """int_{S^(n-2)} P_m(x, rho w) dw, the modified Poisson kernel over the
+    boundary sphere of radius rho, for each row r: rho[r], the point
+    xs[owner[r]] with ``sphere_moments`` moments[owner[r]], and gap[r] =
+    rho[r] - |x'|, formed by the caller.  With q = |x|/rho, the
+    routes (``_routes``) give 2 x_n area(S^(n-3)) / omega_n times: plain,
+    S(a, b) of ``_sphere_series`` (a = |x|^2 + rho^2, b = 2 rho |x'|);
+    direct, S(a, b) - rho^-n sum_{k<m} M_k q^k; tail, rho^-n
+    sum_{k=m}^{K} M_k q^k, K the degree of ``gegenbauer_tail_sum`` at q.
+    The sums run by Horner's rule in q^2, a tail row's from its own degree
+    (rows sorted by degree, those still summing a prefix): every row's
+    arithmetic is its own, the one-row call's bit for bit.  An overflowing
+    (a+b)^(n/2) or head is a DomainError; tail rows skip the closed form."""
+    n, m = cfg.n, cfg.m
+    ax, xt, xn = _sphere_geometry(xs)
+    amp = 2.0 * xn * unit_sphere_area(n - 2) / cfg.omega_n
+    tail, direct = _routes(ax[owner], rho, m)
+    out = np.empty(rho.size)
+    near = owner[~tail]
+    out[~tail] = _sphere_plain(cfg, xt[near], xn[near], rho[~tail], gap[~tail]) * amp[near]
+    if m:
+        d, t = np.flatnonzero(direct), np.flatnonzero(tail)
+        degree = m + np.searchsorted(_tail_thresholds(0.5 * n, m), ax[owner[t]] / rho[t], "right")
+        t, degree = t[np.argsort(-degree, kind="stable")], np.sort(degree)[::-1]
+        o, od, top = owner[t], owner[d], max(m - 1, int(degree.max(initial=0)))
+        q2, qd2 = (ax[o] / rho[t]) ** 2, (ax[od] / rho[d]) ** 2
+        counts = np.searchsorted(-degree, -np.arange(top + 1), "right").tolist()
+        acc, head = np.zeros(t.size), np.zeros(d.size)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in range(top // 2 * 2, -1, -2):
+                p = counts[k]
+                acc[:p] *= q2[:p]
+                if k >= m:
+                    acc[:p] += moments[o[:p], k]
+                else:
+                    head *= qd2
+                    head += moments[od, k]
+            head *= amp[od] * rho[d] ** -float(n)
+        if not np.isfinite(head).all():
+            raise DomainError("kernel out of floating-point range: |x|^k overflows")
+        out[d] -= head
+        out[t] = acc * (amp[o] * rho[t] ** -float(n))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,33 +1,29 @@
 """Dirichlet (Poisson-integral) and Green potentials, and their sum.
 
-Atomic sources are evaluated exactly as kernel sums.  Radial boundary
-families are integrated in polar form: a panelized Gauss-Legendre rule in
-the boundary radius on [0, R0] (refined near the kernel peak and cut at the
-unit-ball branch point) plus one Gauss-Jacobi panel in u = 1/rho for the
-far field beyond R0, tensored with a rule in the polar angle.  R0 is the
-support of finite data, else at least 4|x|, so every far source is on the
-kernel's tail route; there the integrand is u^beta times a smooth function
-of u, beta = ``BoundaryData.far_exponent(m)`` > -1, and the Gauss-Jacobi
-rule for that weight integrates the whole tail without truncation.
+Atomic sources are evaluated exactly as kernel sums.  A radial boundary
+family is the radial integral of f(rho) rho^(n-2) A(x, rho), A the kernel
+over the boundary sphere of radius rho, its angular integral in closed form
+(``kernels.modified_poisson_sphere``): panelized Gauss-Legendre on [0, R0],
+refined near the kernel peak at |x'| and cut at the unit sphere, plus one
+Gauss-Jacobi panel in u = 1/rho beyond R0.  R0 is the support of finite
+data, else at least 4|x|, so every far source is on the kernel's tail
+route; there the integrand is u^beta times a smooth function of u, beta =
+``BoundaryData.far_exponent(m)`` > -1, which that rule integrates whole.
 
 The value is the order-16 pass, checked against the order-12 pass; orders
-24 and 32 run only for the points whose rung differs from the one below
-by more than the target.  Each point's panel breakpoints (radial panels,
-R0, angular panels) are built once for the whole ladder.  Each rung runs
-once for all the points still on it, over blocks of points of up to
-``_QUAD_BLOCK_NODES`` grid nodes: a block's nodes and weights are formed
-in one array pass, each point's radii in the polar kernel's route order
-(plain, direct, tail), and the polar kernel shares one Gegenbauer ladder
-over the block.  Each point's value, error estimate and convergence flag are those
-of the point evaluated alone, bit for bit, and a block that raises is run
-again point by point, so the error is the one of the first failing row.
+24 and 32 run only for the points whose rung differs from the one below by
+more than the target.  Each point's panels and moments are built once, and
+each rung runs once for the points still on it, in blocks of up to
+``_QUAD_BLOCK_NODES`` radii.  Every node's arithmetic is elementwise and a
+point's terms are added in order, so its value, estimate and flag are
+those of the point alone, bit for bit; a block that raises is run again
+point by point, so the error is the one of the first failing row.
 
 A block of points large enough to pay for a fork is cut into contiguous
 slices, one per core of the process's affinity, each computed by a process
 pinned to its core.  Slices hold whole kernel blocks (atom sums) or whole
-points (families), so the values, and the first error in row order, are
-those of a one-process run.  A family point comes back with its error
-estimate and convergence flag.
+points (families, with their error estimates and flags), so the values, and
+the first error in row order, are those of a one-process run.
 """
 from __future__ import annotations
 
@@ -42,9 +38,10 @@ import numpy as np
 from .errors import DomainError, HpotError, IntegrabilityError, SchemaError
 from .kernels import (
     KernelConfig,
-    _polar_grids,
     modified_green_values,
+    modified_poisson_sphere,
     modified_poisson_values,
+    sphere_moments,
 )
 from .geometry import as_coords, as_rows, squared_norms
 from .measures import (
@@ -53,12 +50,7 @@ from .measures import (
     check_boundary_condition,
     check_measure_condition,
 )
-from .quadrature import (
-    inverted_tail_rule,
-    refined_breakpoints,
-    tiled_panel_nodes,
-    unit_sphere_area,
-)
+from .quadrature import _leggauss, inverted_tail_rule, refined_breakpoints, tiled_panel_nodes
 
 _QUAD_TARGET = 1e-8
 # Point-source pairs per kernel block: large enough to spread the per-call
@@ -79,29 +71,21 @@ _BLOCK_ELEMENTS = 2**14
 # per process would lose the Green sums of 131k-262k pairs, so a fork
 # needs 2^16 pairs per process.
 _FORK_MIN_WORK = 2**16
-# Work of one family point, in pairs of a Green sum; at 2^12 blocks fork
-# from 32 points.  With rules built once per ladder a point of the Dirichlet
-# benchmark costs 0.2 to 0.6 ms on one core (indicator_ball about 0.2,
-# gaussian_bump 0.4 to 0.6), 2^9.3 to 2^10.9 Green pairs.  A fork also
-# costs this process: a forked call on 48 gaussian_bump points took about
-# 830 copy-on-write faults and 4.5 ms of system time per call (1000 in
-# the child).  On 2 cores (medians of 15 alternating runs) a fork of
-# gaussian_bump points was lower in 0 of 15 at 16 points, 5 of 15 at 24
-# and 32, 8 of 15 at 48 and 12 of 15 at 64; of indicator_ball points in 0
-# to 4 of 15 up to 64 and 12 of 15 at 96.  Forking from 64 points (2^11)
-# left the benchmark's 48-point sets in one process, but its wall_s was
-# lower in only 4 of 7 pairs of 10 s runs (seed 47), so 2^12 stays.
-_QUAD_POINT_WORK = 2**12
-# Grid nodes per block of the polar kernel in a quadrature pass, about six
-# points of the Dirichlet benchmark.  Larger blocks share the ladder and
-# the per-call costs among more points.  With rules built once per ladder,
-# one-core CPU per sequence of that benchmark (seed 7, medians of 10
-# alternating rounds) read 63.6 / 63.0 / 54.8 / 52.6 ms at 2^14 / 2^15 /
-# 2^16 / 2^17 (2^16 lower than 2^15 in 9 of 10 rounds, 2^17 in 6).  On 2
-# cores 2^16 read wall_s 0.0662 -> 0.0623 s (seed 43, 4 alternating pairs
-# of 10 s runs, lower in 3) but raised peak_rss_mb from 41.0-41.1 to
-# 41.8-41.9 MB, so the blocks stay at 2^15.
-_QUAD_BLOCK_NODES = 2**15
+# Work of one family point, in pairs of a Green sum: family blocks fork from
+# 2 _FORK_MIN_WORK / 2^8 = 512 points.  A point of the Dirichlet benchmark
+# costs about 0.1 ms on one core.  On 2 cores (medians of 15 alternating
+# runs, the CLI's memory policy) a fork of gaussian_bump points was lower in
+# 0 of 15 at 48 and 96 points, 1 at 192, 9 at 256 and 384, 12 at 512 (43.4
+# -> 37.0 ms) and 13 at 768; of indicator_ball points in 0 to 3 of 15 up to
+# 512 (22.6 vs 23.5 ms) and 13 at 768; at 48 points 6.1 and 4.6 ms against
+# 12.6 and 13.0 ms forked.
+_QUAD_POINT_WORK = 2**8
+# Radial nodes per block of a quadrature pass (the benchmark's sets hold
+# 0.9k-6k).  One-core CPU per benchmark sequence (seed 7) and of 480
+# gaussian_bump points (medians of 30 alternating rounds): 16.6 / 16.5 / 16.5
+# and 55.8 / 52.4 / 50.4 ms at 2^13 / 2^14 / 2^15, within the host's noise;
+# traced peaks 1.2 / 2.2 / 4.1 MB.
+_QUAD_BLOCK_NODES = 2**14
 _in_child = False  # set in a forked child, which never forks again
 
 
@@ -403,46 +387,38 @@ def boundary_limit_probe(fieldobj: PotentialField, xp, heights):
 
 @dataclass(frozen=True)
 class _Panels:
-    """The quadrature panels of a block of points, the same at every rule
-    order: radial panels [r_lo, r_hi] ascending on [0, R0], r_count of
-    them per point, then, unless the data has finite support, one
-    far-field panel beyond r0 (per point); and angular panels [g_lo, g_hi]
-    on [0, pi], g_count per point."""
+    """The quadrature panels of a block of points, the same at every order:
+    r_count panels [r_lo, r_hi] per point ascending on [0, R0], then a far
+    panel beyond r0 unless the support is finite; |x'| and moments per point."""
 
     r_lo: np.ndarray
     r_hi: np.ndarray
     r_count: np.ndarray
     r0: np.ndarray | None
-    g_lo: np.ndarray
-    g_hi: np.ndarray
-    g_count: np.ndarray
+    x_tan: np.ndarray
+    moments: np.ndarray
 
     def sizes(self, order):
-        """The radii and the cosines of each point at a rule order."""
-        return (self.r_count + (self.r0 is not None)) * order, self.g_count * order
+        """The radii of each point at a rule order."""
+        return (self.r_count + (self.r0 is not None)) * order
 
     def take(self, keep):
         """The panels of the points where the mask ``keep`` holds."""
-        r, g = np.repeat(keep, self.r_count), np.repeat(keep, self.g_count)
+        r = np.repeat(keep, self.r_count)
         return _Panels(
             self.r_lo[r], self.r_hi[r], self.r_count[keep],
-            None if self.r0 is None else self.r0[keep],
-            self.g_lo[g], self.g_hi[g], self.g_count[keep],
+            None if self.r0 is None else self.r0[keep], self.x_tan[keep], self.moments[keep],
         )
 
 
 def _rule_panels(cfg, pts, data) -> _Panels:
-    """The panels of each row of pts (P, n).  Radially: panels on [0, R0],
-    refined near the kernel peak and with the unit sphere, where the kernel
+    """The panels of each row of pts (P, n): panels on [0, R0], refined
+    near the kernel peak and with the unit sphere, where the kernel
     switches branch, as an edge; R0 is the support of finite data, else
     max(4, 4|x|, 6 scale, 8 x_n), so every source beyond it is on the
-    kernel's tail route.  Angularly, for
-    int_{S^{n-2}} g(omega . x'/|x'|) domega
-      = area(S^{n-3}) int_0^pi g(cos gamma) sin^{n-3}(gamma) dgamma:
-    panels refined toward gamma = 0, where the kernel peaks for off-axis x.
-    The radial and angular rules take |x'| by two expressions, each kept."""
+    kernel's tail route."""
     support, scale = data.radial_support(), data.radial_scale()
-    radial, angular, r0s = [], [], []
+    radial, r0s = [], []
     for cx in pts:
         xn = cx[-1]
         ax = float(np.sqrt(np.dot(cx, cx)))
@@ -457,45 +433,31 @@ def _rule_panels(cfg, pts, data) -> _Panels:
             breaks = sorted(set(breaks) | {1.0})
         radial.append(np.asarray(breaks, dtype=float))
         r0s.append(r0)
-        # the angular rule's |x'|, by its own expression
-        x_tan = math.sqrt(max(np.dot(cx, cx) - cx[-1] ** 2, 0.0))
-        if x_tan > 0.0:
-            g0 = min(max(xn / (x_tan + xn), 1e-4), math.pi / 4)
-            breaks = refined_breakpoints(0.0, math.pi, base_scale=g0)
-        else:
-            breaks = [0.0, math.pi]
-        angular.append(np.asarray(breaks, dtype=float))
     return _Panels(
         np.concatenate([b[:-1] for b in radial]),
         np.concatenate([b[1:] for b in radial]),
         np.array([b.size - 1 for b in radial]),
         np.array(r0s, dtype=float) if support is None else None,
-        np.concatenate([b[:-1] for b in angular]),
-        np.concatenate([b[1:] for b in angular]),
-        np.array([b.size - 1 for b in angular]),
+        np.sqrt(squared_norms(pts[:, :-1])),
+        sphere_moments(cfg, pts),
     )
 
 
 def _pass_rules(cfg, data, panels, order):
-    """The nodes and weights of one rule order for the points of
-    ``panels``: radii rho with weights wr and cosines cosg with weights wg,
-    each point's run of them contiguous (``panels.sizes(order)`` long), its
-    radii those of its panels ascending, then its far panel's.  The
-    Gauss-Legendre nodes of every panel, the far-field panels and the
-    angular weights are formed in one array pass each."""
+    """The radii rho, weights wr and gaps rho - |x'| of one rule order for
+    the points of ``panels``, in one array pass, each point's run of them
+    contiguous (``panels.sizes(order)`` long): its panels' ascending, then
+    its far panel's.  The gap of a node lo + h (1 + t) is (lo - |x'|) +
+    h (1 + t), rounded to a part of h, not of the radius."""
     rho, wr = tiled_panel_nodes(panels.r_lo, panels.r_hi, order)
+    lo, x_tan = panels.r_lo[:, None], np.repeat(panels.x_tan, panels.r_count)[:, None]
+    gap = (lo - x_tan) + 0.5 * (panels.r_hi[:, None] - lo) * (1.0 + _leggauss(order)[0])
     if panels.r0 is not None:
         far_rho, far_w = inverted_tail_rule(panels.r0[:, None], order, data.far_exponent(cfg.m))
-        far = np.zeros(len(rho) + len(far_rho), dtype=bool)
-        far[np.cumsum(panels.r_count + 1) - 1] = True
-        near_rho, near_w = rho, wr
-        rho, wr = np.empty((far.size, order)), np.empty((far.size, order))
-        rho[far], wr[far] = far_rho, far_w
-        rho[~far], wr[~far] = near_rho, near_w
-    gam, wg = tiled_panel_nodes(panels.g_lo, panels.g_hi, order)
-    gam = gam.ravel()
-    wg = wg.ravel() * np.sin(gam) ** (cfg.n - 3) * unit_sphere_area(cfg.n - 2)
-    return rho.ravel(), wr.ravel(), np.cos(gam), wg
+        at, far_gap = np.cumsum(panels.r_count), far_rho - panels.x_tan[:, None]
+        rho, wr, gap = (np.insert(a, at, b, axis=0)
+                        for a, b in ((rho, far_rho), (wr, far_w), (gap, far_gap)))
+    return rho.ravel(), wr.ravel(), gap.ravel()
 
 
 def _quad_pass(cfg, pts, data, radial, order, *, panels, l1=False):
@@ -503,13 +465,12 @@ def _quad_pass(cfg, pts, data, radial, order, *, panels, l1=False):
     (P,) array; with ``l1``, (values, L1 masses).  ``panels`` are the rows'
     ``_rule_panels``.
 
-    The points run in blocks holding up to _QUAD_BLOCK_NODES grid nodes (a
-    point with more is a block of its own), each with one call of
+    The points run in blocks holding up to _QUAD_BLOCK_NODES radii (a point
+    with more is a block of its own), each with one call of
     ``_weighted_sums``."""
-    sizes, widths = panels.sizes(order)
     values, masses = np.empty(len(pts)), np.zeros(len(pts))
     first = nodes = 0
-    for i, k in enumerate((sizes * widths).tolist()):
+    for i, k in enumerate(panels.sizes(order).tolist()):
         nodes += k
         if nodes < _QUAD_BLOCK_NODES and i < len(pts) - 1:
             continue
@@ -526,24 +487,18 @@ def _quad_pass(cfg, pts, data, radial, order, *, panels, l1=False):
 
 
 def _weighted_sums(cfg, pts, data, radial, panels, order, l1):
-    """sum_r sum_g w_r |f|(rho_r) rho_r^(n-2) P_m(x, rho_r, cos_g) w_g per
-    point of a block, and the same sum of absolute values when ``l1`` (else
-    0): the block's rules are formed at once (``_pass_rules``), each point's
-    radii in the polar kernel's route order, and the kernel runs once."""
-    rho, wr, cosg, wg = _pass_rules(cfg, data, panels, order)
-    sizes, widths = panels.sizes(order)
-    grids = _polar_grids(cfg, pts, rho, sizes, cosg, widths)
-    values, masses = np.empty(len(pts)), np.zeros(len(pts))
-    row = col = 0
+    """sum_r w_r f(rho_r) rho_r^(n-2) A(x, rho_r) per point of a block (A by
+    one ``modified_poisson_sphere`` call), and of the absolute terms when
+    ``l1`` (else 0); each point's terms are added in order (``np.bincount``),
+    so its sums do not depend on the block."""
+    rho, wr, gap = _pass_rules(cfg, data, panels, order)
+    owner = np.repeat(np.arange(len(pts)), panels.sizes(order))
+    kern = modified_poisson_sphere(cfg, pts, rho, owner, panels.moments, gap)
     # an overflow anywhere leaves a sum that is not finite, refused by the caller
     with np.errstate(over="ignore", invalid="ignore"):
-        rw = wr * radial(rho) * rho ** (cfg.n - 2)
-        for p, kern in enumerate(grids):
-            rwp, wgp = rw[row : row + kern.shape[0]], wg[col : col + kern.shape[1]]
-            values[p] = rwp @ kern @ wgp
-            if l1:
-                masses[p] = np.abs(rwp) @ np.abs(kern) @ wgp
-            row, col = row + kern.shape[0], col + kern.shape[1]
+        terms = wr * radial(rho) * rho ** (cfg.n - 2) * kern
+        values = np.bincount(owner, terms, len(pts))
+        masses = np.bincount(owner, np.abs(terms), len(pts)) if l1 else np.zeros(len(pts))
     return values, masses
 
 
@@ -569,7 +524,8 @@ def _radial_family_quadrature(cfg, pts, data: BoundaryData):
 def _quadrature_ladder(cfg, pts, data):
     """Values, error estimates, error scales and convergence flags of the
     rows of pts (see ``_radial_family_quadrature``).  Each point's panels
-    are built once, for every rung."""
+    are built once, for every rung.  The error scale is max(|value|, 1e-3 L1),
+    L1 the order-12 sum_r |w_r f(rho_r) rho_r^(n-2) A(x, rho_r)|."""
     if not len(pts):
         return np.zeros(0), np.zeros(0), np.ones(0), np.zeros(0, dtype=bool)
     radial, panels = data.radial(), _rule_panels(cfg, pts, data)

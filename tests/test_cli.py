@@ -101,12 +101,13 @@ def test_consecutive_calls_parse_independently(tmp_path, capsys):
 
 
 def test_unconverged_dirichlet_point_is_domain_error(tmp_path, capsys):
-    # at (1, 0, 1e-5) the quadrature runs to order 32 and misses its target:
-    # the CLI refuses it instead of printing the value
+    # at (1, 0, 6e-11), below the radial anchor's 1e-9 |x'| floor, the
+    # quadrature runs to order 32 and misses its target: the CLI refuses it
+    # instead of printing the value
     data, mu, pts = tmp_path / "data.json", tmp_path / "mu.json", tmp_path / "p.csv"
     data.write_text(json.dumps(FAMILY))
     mu.write_text(json.dumps(MU))
-    pts.write_text("x_1,x_2,x_3\n1,0,1\n1,0,1e-5\n1,0,1e-5\n")
+    pts.write_text("x_1,x_2,x_3\n1,0,1\n1,0,6e-11\n1,0,6e-11\n")
     for kind, extra in (("dirichlet", ()), ("superposition", ("--measure", str(mu)))):
         code, out, err = run_cli(
             capsys, "potential", "--kind", kind, "--data", str(data), "--points", str(pts),
@@ -117,10 +118,31 @@ def test_unconverged_dirichlet_point_is_domain_error(tmp_path, capsys):
         assert payload["code"] == "domain"
         message = payload["message"]
         assert message.startswith(
-            "quadrature did not converge at row 1 (x = (1, 0, 1.0000000000000001e-05))"
+            "quadrature did not converge at row 1 (x = (1, 0, 6e-11))"
         )
         estimate = float(message.split("rel_err_estimate ")[1].split()[0])
         assert 1e-8 < estimate < 1e-5
+
+
+def test_dirichlet_points_near_the_boundary(tmp_path, capsys):
+    # power_growth(0.5), n = 3, m = 1 at x = (1, 0, h), against
+    # reference.family_integral at 20 digits: at h = 1e-8 the point
+    # converges (with the angle on a quadrature grid it was refused, its
+    # estimate 0.43); at h = 1e-12, below the radial anchor's 1e-9 |x'|
+    # floor, the value is the oracle's within 1e-8 or it is refused
+    data, pts = tmp_path / "data.json", tmp_path / "p.csv"
+    data.write_text(json.dumps(FAMILY))
+    for h, ref in ((1e-8, 1.189207104422573531), (1e-12, 1.1892071150016630647)):
+        pts.write_text(f"x_1,x_2,x_3\n1,0,{h!r}\n")
+        code, out, err = run_cli(
+            capsys, "potential", "--kind", "dirichlet", "--data", str(data), "--points", str(pts),
+            "--n", "3", "--m", "1",
+        )
+        if code == 0:
+            assert abs(float(out.splitlines()[1].split(",")[-1]) - ref) <= 1e-8 * ref
+        else:
+            assert h == 1e-12 and code == 2
+            assert json.loads(err)["message"].startswith("quadrature did not converge")
 
 
 def test_unconverged_growth_point_is_domain_error(tmp_path, capsys, monkeypatch):

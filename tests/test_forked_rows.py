@@ -242,7 +242,7 @@ def test_forked_family_rows_carry_the_estimates(cores, monkeypatch):
     monkeypatch.setattr(potentials, "_radial_family_quadrature", counting_quadrature)
     vf = potentials.dirichlet_field(KernelConfig(3, 1), BoundaryData.power_growth(2, 0.5))
     pts = np.array([[0.3, 0.2, 1.0], [2.0, -1.0, 0.5], [1.0, 0.0, 3e-5],
-                    [0.0, 0.0, 3.0], [5.0, 1.0, 4.0], [1.0, 0.0, 1e-5]])
+                    [0.0, 0.0, 3.0], [5.0, 1.0, 4.0], [1.0, 0.0, 1.5e-11]])
     results = []
     for k in (1, 2):
         cores.set(k)

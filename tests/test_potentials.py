@@ -397,11 +397,13 @@ def test_family_blocks_equal_the_per_point_values(monkeypatch, cfg, data, budget
 
 
 def test_points_on_different_rungs_share_a_block(quad_passes):
-    # (1, 0, 3e-5) stops at order 24 and (1, 0, 1e-5) runs to order 32
-    # unconverged; each rung runs once, for the points still on it
+    # below the radial anchor's 1e-9 |x'| floor the kernel peak is resolved
+    # only as the order grows: (1, 0, 2e-10) stops at order 24 (estimates
+    # 1.5e-7, then 1.7e-9) and (1, 0, 1.5e-11) runs to order 32 unconverged
+    # (7e-4); each rung runs once, for the points still on it
     data = BoundaryData.power_growth(2, 0.5)
     vf = dirichlet_field(C31, data)
-    pts = np.array([[0.3, 0.2, 1.0], [1.0, 0.0, 3e-5], [2.0, -1.0, 0.5], [1.0, 0.0, 1e-5]])
+    pts = np.array([[0.3, 0.2, 1.0], [1.0, 0.0, 2e-10], [2.0, -1.0, 0.5], [1.0, 0.0, 1.5e-11]])
     per_point = []
     for p in pts:
         quad_passes.clear()

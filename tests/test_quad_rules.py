@@ -1,9 +1,9 @@
-"""The quadrature's block rules and the polar kernel's route ranges.
+"""The quadrature's block rules and the polar kernel's route order.
 
-``ref_radial_rule`` and ``ref_gamma_rule`` are the per-point rule builders
-the block rules replaced, kept here as a frozen reference (with the panel
-and far-field helpers they called).  Every point's nodes and weights of a
-block pass must be their bytes.
+``ref_radial_rule`` is the per-point rule builder the block rules replaced,
+kept here as a frozen reference (with the panel and far-field helpers it
+called).  Every point's radii and weights of a block pass must be its
+bytes.
 """
 import math
 
@@ -13,7 +13,7 @@ import pytest
 import hpot.potentials as potentials
 from hpot.kernels import KernelConfig, _seam, modified_poisson_polar
 from hpot.measures import BoundaryData
-from hpot.quadrature import _gauss_jacobi, _leggauss, refined_breakpoints, unit_sphere_area
+from hpot.quadrature import _gauss_jacobi, _leggauss, refined_breakpoints
 
 
 def ref_panel_nodes(breakpoints, npts):
@@ -31,17 +31,6 @@ def ref_inverted_tail_rule(r0, npts, beta):
     x, w = _gauss_jacobi(npts, float(beta))
     rho = 2.0 * r0 / (1.0 + x)
     return rho, w * rho * (1.0 + x) ** -(beta + 1.0)
-
-
-def ref_gamma_rule(cfg, x_tan, xn, order):
-    if x_tan > 0.0:
-        g0 = min(max(xn / (x_tan + xn), 1e-4), math.pi / 4)
-        breaks = refined_breakpoints(0.0, math.pi, base_scale=g0)
-    else:
-        breaks = [0.0, math.pi]
-    gam, w = ref_panel_nodes(breaks, order)
-    w = w * np.sin(gam) ** (cfg.n - 3) * unit_sphere_area(cfg.n - 2)
-    return np.cos(gam), w
 
 
 def ref_radial_rule(cfg, cx, data, order):
@@ -65,21 +54,13 @@ def ref_radial_rule(cfg, cx, data, order):
     return rho, w
 
 
-def ref_rules(cfg, cx, data, order):
-    rho, wr = ref_radial_rule(cfg, cx, data, order)
-    x_tan = math.sqrt(max(np.dot(cx, cx) - cx[-1] ** 2, 0.0))
-    cosg, wg = ref_gamma_rule(cfg, x_tan, cx[-1], order)
-    return rho, wr, cosg, wg
-
-
 def _bits(a):
     return np.asarray(a, dtype=float).tobytes()
 
 
 def built_points(n, rng):
     """On the axis, far off it (x_tan > 2 x_n, anchored panels), near the
-    boundary, inside and outside the unit ball, and random points whose two
-    expressions for |x'| may round apart."""
+    boundary, inside and outside the unit ball, and random points."""
     def at(tan, xn):
         x = np.zeros(n)
         x[0], x[-1] = tan, xn
@@ -111,14 +92,13 @@ def test_block_rules_are_the_per_point_rules(n, family):
         # R0 lies on each side of the unit sphere across the families
         assert (panels.r0 is None) == (data.radial_support() is not None)
         for order in (12, 16, 24, 32):
-            rho, wr, cosg, wg = potentials._pass_rules(cfg, data, panels, order)
-            sizes, widths = panels.sizes(order)
-            assert rho.size == sizes.sum() and cosg.size == widths.sum()
-            r_at, c_at = np.append(0, np.cumsum(sizes)), np.append(0, np.cumsum(widths))
+            rho, wr, _ = potentials._pass_rules(cfg, data, panels, order)
+            sizes = panels.sizes(order)
+            assert rho.size == sizes.sum()
+            r_at = np.append(0, np.cumsum(sizes))
             for p, cx in enumerate(pts):
-                want = ref_rules(cfg, cx, data, order)
-                got = (rho[r_at[p] : r_at[p + 1]], wr[r_at[p] : r_at[p + 1]],
-                       cosg[c_at[p] : c_at[p + 1]], wg[c_at[p] : c_at[p + 1]])
+                want = ref_radial_rule(cfg, cx, data, order)
+                got = (rho[r_at[p] : r_at[p + 1]], wr[r_at[p] : r_at[p + 1]])
                 for g, w in zip(got, want):
                     assert _bits(g) == _bits(w), (m, order, cx)
         # the panels of a subset of the points are those points' panels
@@ -129,23 +109,9 @@ def test_block_rules_are_the_per_point_rules(n, family):
         assert all(_bits(a) == _bits(b) for a, b in zip(sub, alone))
 
 
-def test_both_expressions_of_the_tangential_norm_occur():
-    # the radial and the angular rule take |x'| by two expressions; the
-    # built set has points where they round apart, so a rule that took
-    # the other one would change some breakpoint
-    rng = np.random.default_rng(703)
-    apart = 0
-    for cx in built_points(3, rng):
-        ax = float(np.sqrt(np.dot(cx, cx)))
-        apart += math.sqrt(max(ax * ax - cx[-1] ** 2, 0.0)) != math.sqrt(
-            max(np.dot(cx, cx) - cx[-1] ** 2, 0.0)
-        )
-    assert apart
-
-
 def test_quadrature_rows_come_in_route_order():
     # each point's radii ascend on [0, R0] and its far panel lies on the
-    # tail route, so the polar kernel never sorts a quadrature's rows
+    # tail route
     rng = np.random.default_rng(704)
     for n, m in ((3, 1), (4, 2), (5, 3)):
         cfg = KernelConfig(n, m)
@@ -154,7 +120,7 @@ def test_quadrature_rows_come_in_route_order():
                      BoundaryData.indicator_ball(n - 1, 2.0)):
             panels = potentials._rule_panels(cfg, pts, data)
             rho = potentials._pass_rules(cfg, data, panels, 12)[0]
-            sizes = panels.sizes(12)[0]
+            sizes = panels.sizes(12)
             ax = np.repeat(np.sqrt([np.dot(cx, cx) for cx in pts]), sizes)
             route = (rho > 1.0).astype(int) + ((rho > 1.0) & (rho >= _seam(m) * ax))
             owner = np.repeat(np.arange(len(pts)), sizes)
