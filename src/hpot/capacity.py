@@ -17,12 +17,17 @@ The LP solver is a dense reference implementation: because c >= 0 the dual
 tableau simplex needs no phase one; the primal minimizer is read off the
 optimal slack reduced costs.  The slack block of the tableau is the basis
 inverse (product form, Dantzig & Orchard-Hays 1954): slack column i stays
-the unit vector e_i, with reduced cost 0, until row i is a pivot row, since
-every other pivot subtracts multiples of a row whose entry there is 0.  So
-the tableau stores [A^T | c] and appends a row's slack column only when that
-row first pivots; the pivots, and every stored value, are those of the full
-tableau bit for bit.  Sizes here are desk-scale, and tests pit the solver
-against exhaustive vertex enumeration and the full tableau.
+the unit vector e_i until row i is a pivot row.  No tableau is stored:
+each pivot keeps its row, its pivot, its entering column and its pivot row
+over the columns stored then ([A^T | c] and the slacks of rows pivoted so
+far), and a step forms only the two things it reads.  Its entering column
+starts from A^T (or e_i from the pivot where row i first pivots) and its
+pivot row from [A^T | c | e_r]; both replay the earlier pivots in order,
+with the divides, multiplies and subtracts of a full tableau update, so
+the pivots and every value are those of the full tableau bit for bit.  A
+step costs O(pivots * (rows + columns)).  Sizes here are desk-scale, and
+tests pit the solver against exhaustive vertex enumeration and the full
+tableau.
 """
 from __future__ import annotations
 
@@ -38,16 +43,9 @@ from .quadrature import halton_sequence
 
 BOUNDARY = "boundary"
 HALFSPACE = "halfspace"
-# tableau elements per row block of the simplex elimination: on a 400 x 1024
-# LP one unblocked update ran 30% slower and raised the tracemalloc peak
-# from 20 to 24 MB
+# kernel matrix elements per row block of its squared distances: each
+# temporary of _squared_distances holds at most 512 KiB however large the LP
 _BLOCK_ELEMENTS = 2**16
-# slack columns stored before the tableau first grows (it doubles).  Growing
-# by one column per newly pivoted row instead copies the whole tableau each
-# time: on exceptional_pipeline (2 cores, 6 pairs each at seeds 5 and 11)
-# that raised peak_rss_mb from 50.7-51.1 to 56.8-57.5 MB, while wall_s read
-# 3-7% lower, within the spread of the runs
-_SLACK_ROOM = 32
 # a column enters the dual basis while its reduced cost exceeds 1e-3 of this
 _LP_TOL = 1e-9
 
@@ -81,22 +79,6 @@ class LPSolution:
     dual: np.ndarray
 
 
-def _eliminate(T, r, j, scratch):
-    """Clear column j outside the pivot row r, whose pivot is already 1:
-    T[i] -= T[i, j] * T[r] for every i != r, as one multiply into
-    ``scratch`` and one subtraction per block of its rows.  Each entry gets
-    the same multiply and subtract as in a row-by-row update, and rows with
-    T[i, j] = 0 subtract zeros, which keeps their values."""
-    f = T[:, j].copy()
-    f[r] = 0.0
-    rows = len(scratch)
-    for i in range(0, len(T), rows):
-        blk = slice(i, i + rows)
-        s = scratch[: len(f[blk])]
-        np.multiply(f[blk, None], T[r], out=s)
-        T[blk] -= s
-
-
 def lp_solve(lp: LPInstance) -> LPSolution:
     """Solve the covering LP; raises InfeasibleError when a constraint row
     has no positive entry (no g can satisfy it)."""
@@ -109,22 +91,19 @@ def lp_solve(lp: LPInstance) -> LPSolution:
         bad = int(np.argmax(row_max <= 0.0))
         raise InfeasibleError(f"constraint row {bad} has no positive entry")
 
-    # dual tableau: rows = k constraints A^T y + s = c.  Columns 0..m-1 of
-    # the full tableau [A^T | I_k | c] hold y and m..m+k-1 the slacks; slack
-    # m+i stays e_i until row i pivots, so only [A^T | c] is stored, and a
-    # row's slack column is appended the first time it pivots
-    room = min(k, _SLACK_ROOM)
-    T = np.zeros((k, m + 1 + room))
-    T[:, :m] = A.T
-    T[:, m] = c
-    width = m + 1  # stored columns: y | rhs | slacks of pivoted rows
-    slot = {}  # stored column of slack m+i by row i, in stored order
+    # dual tableau: rows = k constraints A^T y + s = c, columns y | rhs |
+    # slacks of pivoted rows (slack m+i stays e_i until row i pivots).  It
+    # is kept as its pivots (r, pivot, entering column f with f[r] = 0,
+    # pivot row over the columns stored then, divided by the pivot); a step
+    # replays them on its entering column and its pivot row only
+    pivots = []
+    rhs = c.copy()
+    slot = {}  # (stored column, first pivot) of slack m+i by row i, in stored order
     red = np.zeros(m + k)
     red[:m] = 1.0  # reduced costs of a maximization, start at obj - 0
     value = 0.0
     basis = list(range(m, m + k))
 
-    buf = np.empty(max(_BLOCK_ELEMENTS, m + 1 + k))
     piv_tol = 1e-11
     stall = 0
     for it in range(200 * (m + k + 10)):
@@ -137,34 +116,43 @@ def lp_solve(lp: LPInstance) -> LPSolution:
         else:
             j = int(enterable[np.argmax(red[enterable])])
         # an unstored slack has reduced cost 0 and never enters
-        jc = j if j < m else slot[j - m]
-        col = T[:, jc]
+        if j < m:
+            col, first = A[j].copy(), 0
+        else:
+            col, first = np.zeros(k), slot[j - m][1]
+            col[j - m] = 1.0
+        for r_s, piv_s, f_s, _ in pivots[first:]:
+            col[r_s] /= piv_s
+            col -= f_s * col[r_s]
         pos = col > piv_tol
         if not np.any(pos):
             raise NumericalError("dual unbounded despite feasibility pre-check")
         ratios = np.full(k, np.inf)
-        ratios[pos] = T[pos, m] / col[pos]
+        ratios[pos] = rhs[pos] / col[pos]
         rmin = ratios.min()
         ties = np.where(ratios <= rmin * (1 + 1e-12) + 1e-300)[0]
         r = int(min(ties, key=lambda i: basis[i])) if use_bland else int(ties[0])
         if r not in slot:
-            if width == T.shape[1]:
-                room = min(k, 2 * room)
-                T = np.concatenate([T, np.zeros((k, m + 1 + room - width))], axis=1)
-            T[r, width] = 1.0
-            slot[r] = width
-            width += 1
-        S = T[:, :width]
-        scratch_rows = max(1, _BLOCK_ELEMENTS // width)
-        scratch = buf[: scratch_rows * width].reshape(scratch_rows, width)
-        piv = S[r, jc]
-        S[r] /= piv
-        _eliminate(S, r, jc, scratch)
+            slot[r] = (m + 1 + len(slot), len(pivots))
+        row = np.zeros(m + 1 + len(slot))
+        row[:m], row[m], row[slot[r][0]] = A[:, r], c[r], 1.0
+        for r_s, piv_s, f_s, R_s in pivots:
+            if r_s == r:
+                row[: len(R_s)] /= piv_s
+            row[: len(R_s)] -= f_s[r] * R_s
+        piv = col[r]
+        R = row / piv
+        col[r] = 0.0
+        pivots.append((r, piv, col, R))
+        rhs[r] /= piv
+        rhs -= col * rhs[r]
         red_j = red[j]
-        gain = red_j * S[r, m]
+        gain = red_j * rhs[r]
         value += gain
-        red[:m] -= red_j * S[r, :m]
-        red[m + np.fromiter(slot, int, len(slot))] -= red_j * S[r, m + 1 :]
+        # row r after its step is R - 0 R, whose -0.0 entries are +0.0; no
+        # reduced cost is ever -0.0, so R itself gives the same differences
+        red[:m] -= red_j * R[:m]
+        red[m + np.fromiter(slot, int, len(slot))] -= red_j * R[m + 1 :]
         basis[r] = j
         stall = 0 if gain > 1e-13 * (1.0 + abs(value)) else stall + 1
     else:
@@ -173,7 +161,7 @@ def lp_solve(lp: LPInstance) -> LPSolution:
     y = np.zeros(m)
     for i, b in enumerate(basis):
         if b < m:
-            y[b] = T[i, m]
+            y[b] = rhs[i]
     g = np.maximum(-red[m : m + k], 0.0)
 
     # defensive consistency: primal feasibility and matching objectives
@@ -256,10 +244,14 @@ class CapacityProblem:
     def kernel_matrix(self) -> np.ndarray:
         """K(x_j, node_i) as a (points, nodes) array.  The squared distances
         are the kernels' (``_squared_distances``), summed one coordinate at a
-        time, so no (points, nodes, n) array is formed."""
+        time over blocks of rows, so no (points, nodes, n) array and no
+        second (points, nodes) array is formed."""
         n = self.cfg.n
-        e = self.e_points
-        d2 = _squared_distances(e, self.nodes)
+        e, nodes = self.e_points, self.nodes
+        d2 = np.empty((len(e), len(nodes)))
+        step = max(1, _BLOCK_ELEMENTS // len(nodes))
+        for i in range(0, len(e), step):
+            d2[i : i + step] = _squared_distances(e[i : i + step], nodes)
         if self.kind == BOUNDARY:
             d2 += e[:, -1, None] ** 2
             power = n
@@ -272,7 +264,8 @@ class CapacityProblem:
 
     def lp_instance(self) -> LPInstance:
         kern = self.kernel_matrix()
-        return LPInstance(c=self.weights.copy(), A=kern * self.weights[None, :])
+        kern *= self.weights
+        return LPInstance(c=self.weights.copy(), A=kern)
 
 
 def capacity(problem: CapacityProblem) -> float:

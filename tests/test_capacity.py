@@ -1,5 +1,7 @@
 import importlib
 import json
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -69,13 +71,6 @@ def test_dual_certificate_closes_the_gap():
         assert float(y.sum()) == pytest.approx(sol.value, rel=1e-9)
 
 
-def _row_by_row(T, r, j, scratch):
-    # the elimination as a loop over the rows, skipping zeros in column j
-    for i in range(len(T)):
-        if i != r and T[i, j] != 0.0:
-            T[i] -= T[i, j] * T[r]
-
-
 def _klee_minty_lp(d):
     """A d x d LP whose dual max 1.y s.t. A^T y <= c is the cube
     y_i + 2 sum_{j<i} 2^(i-j) y_j <= 5^i, scaled by 1e-30: Dantzig's rule
@@ -84,23 +79,6 @@ def _klee_minty_lp(d):
     i, j = np.indices((d, d))
     M = np.where(j < i, 2.0 * 2.0 ** (i - j), 0.0) + np.eye(d)
     return LPInstance(c=5.0 ** np.arange(d) * 1e-30, A=M.T.copy())
-
-
-def test_blocked_elimination_matches_row_by_row(monkeypatch):
-    rng = np.random.default_rng(42)
-    lps = [_klee_minty_lp(5), _klee_minty_lp(7)]
-    for m, k in [(3, 4), (12, 9), (30, 70), (64, 256)]:
-        A = rng.uniform(0, 2, (m, k))
-        A[A < 0.6] = 0.0  # zeros in the pivot column: rows the loop skips
-        A[np.arange(m), rng.integers(0, k, m)] = 1.0
-        lps.append(LPInstance(c=rng.uniform(0, 3, k), A=A))
-    blocked = [lp_solve(lp) for lp in lps]
-    monkeypatch.setattr(capacity_module, "_eliminate", _row_by_row)
-    for lp, got in zip(lps, blocked):
-        want = lp_solve(lp)
-        assert got.value == want.value
-        assert got.g.tobytes() == want.g.tobytes()
-        assert got.dual.tobytes() == want.dual.tobytes()
 
 
 def test_klee_minty_lp_reaches_blands_rule(monkeypatch):
@@ -118,10 +96,24 @@ def test_klee_minty_lp_reaches_blands_rule(monkeypatch):
     assert sol.value == pytest.approx(enumerate_vertices_value(lp), rel=1e-9)
 
 
+def _eliminate(T, r, j, scratch):
+    """Clear column j outside the pivot row r, whose pivot is already 1:
+    T[i] -= T[i, j] * T[r] for every i != r, as one multiply into
+    ``scratch`` and one subtraction per block of its rows."""
+    f = T[:, j].copy()
+    f[r] = 0.0
+    rows = len(scratch)
+    for i in range(0, len(T), rows):
+        blk = slice(i, i + rows)
+        s = scratch[: len(f[blk])]
+        np.multiply(f[blk, None], T[r], out=s)
+        T[blk] -= s
+
+
 def _full_tableau_lp_solve(lp):
     """The simplex on the full dual tableau [A^T | I_k | c], clearing every
-    column on each pivot: the reference for the compact tableau, which
-    stores a slack column only once its row has pivoted."""
+    column on each pivot: the reference for lp_solve, which stores only
+    its pivots."""
     A, c = lp.A, lp.c
     m, k = A.shape
     T = np.zeros((k, m + k + 1))
@@ -151,7 +143,7 @@ def _full_tableau_lp_solve(lp):
         ties = np.where(ratios <= rmin * (1 + 1e-12) + 1e-300)[0]
         r = int(min(ties, key=lambda i: basis[i])) if use_bland else int(ties[0])
         T[r] /= T[r, j]
-        capacity_module._eliminate(T, r, j, scratch)
+        _eliminate(T, r, j, scratch)
         gain = red[j] * T[r, -1]
         value += gain
         red = red - red[j] * T[r, :-1]
@@ -170,17 +162,25 @@ def _assert_same_solution(got, want):
     assert got.dual.tobytes() == want.dual.tobytes()
 
 
-def _stored_widths(monkeypatch):
-    # widths of the tableaus that lp_solve hands to _eliminate
-    widths = []
-    eliminate = capacity_module._eliminate
+@pytest.fixture
+def stored_pivots():
+    """The pivot list of each lp_solve call, read as the call returns."""
+    lists = []
 
-    def recording(T, r, j, scratch):
-        widths.append(T.shape[1])
-        eliminate(T, r, j, scratch)
+    def profile(frame, event, arg):
+        if event == "return" and frame.f_code is capacity_module.lp_solve.__code__:
+            lists.append(frame.f_locals["pivots"])
 
-    monkeypatch.setattr(capacity_module, "_eliminate", recording)
-    return widths
+    sys.setprofile(profile)
+    yield lists
+    sys.setprofile(None)
+
+
+@pytest.fixture
+def traced_memory():
+    tracemalloc.start()
+    yield tracemalloc
+    tracemalloc.stop()
 
 
 def test_compact_tableau_matches_full_tableau():
@@ -190,6 +190,12 @@ def test_compact_tableau_matches_full_tableau():
         m, k = int(rng.integers(1, 60)), int(rng.integers(1, 120))
         A = rng.uniform(0, 2, (m, k))
         A[A < rng.uniform(0.2, 1.5)] = 0.0  # zeros in the pivot columns
+        A[np.arange(m), rng.integers(0, k, m)] = 1.0
+        lps.append(LPInstance(c=rng.uniform(0, 3, k), A=A))
+    rng = np.random.default_rng(42)
+    for m, k in [(3, 4), (12, 9), (30, 70), (64, 256)]:
+        A = rng.uniform(0, 2, (m, k))
+        A[A < 0.6] = 0.0  # zeros in the pivot columns
         A[np.arange(m), rng.integers(0, k, m)] = 1.0
         lps.append(LPInstance(c=rng.uniform(0, 3, k), A=A))
     cone = membership_from_spec({"shape": "cone", "aperture": 0.5})
@@ -202,29 +208,53 @@ def test_compact_tableau_matches_full_tableau():
         _assert_same_solution(lp_solve(lp), _full_tableau_lp_solve(lp))
 
 
-def test_compact_tableau_on_the_benchmark_sized_capacity_lp(monkeypatch):
+def test_compact_tableau_on_the_benchmark_sized_capacity_lp(traced_memory):
     rng = np.random.default_rng(46)
     pts = np.column_stack([rng.uniform(-4, 4, (400, 2)), rng.uniform(0.5, 4, 400)])
     nodes, w = window_nodes(BOUNDARY, 1, CFG3, 1024)
     lp = CapacityProblem(BOUNDARY, pts, nodes, w, CFG3).lp_instance()
     want = _full_tableau_lp_solve(lp)
-    widths = _stored_widths(monkeypatch)
+    traced_memory.reset_peak()
+    held = traced_memory.get_traced_memory()[0]
     _assert_same_solution(lp_solve(lp), want)
-    # far fewer slack columns than the 1024 of the full tableau
-    assert widths and max(widths) <= 400 + 1 + capacity_module._SLACK_ROOM
+    # the pivots, not a tableau: a 1024 x 410 tableau alone is 3.4 MB
+    assert traced_memory.get_traced_memory()[1] - held <= 1e6
 
 
-def test_compact_tableau_grows_past_its_initial_room(monkeypatch):
-    # a near-diagonal LP pivots on every row, so more slack columns are
-    # stored than the initial room holds
+def test_compact_tableau_grows_past_its_initial_room(stored_pivots):
+    # a near-diagonal LP pivots on every row, so more pivots are stored
+    # than 2 x 32, the slack room a stored tableau started with
     rng = np.random.default_rng(47)
-    k = 3 * capacity_module._SLACK_ROOM
+    k = 96
     A = np.eye(k) + rng.uniform(0, 0.05, (k, k)) * (rng.random((k, k)) < 0.3)
     lp = LPInstance(c=rng.uniform(0.5, 2, k), A=A)
     want = _full_tableau_lp_solve(lp)
-    widths = _stored_widths(monkeypatch)
     _assert_same_solution(lp_solve(lp), want)
-    assert max(widths) - (k + 1) > 2 * capacity_module._SLACK_ROOM
+    assert len(stored_pivots[-1]) > 2 * 32
+
+
+def test_negative_zeros_in_pivot_rows_match_full_tableau():
+    # -0.0 passes the LP's sign check.  A pivot row's -0.0 becomes +0.0 only
+    # through the 0 x R that its own update subtracts (-0.0 - -0.0 = +0.0),
+    # which shows in the dual.  Each LP fits one block of the reference's
+    # row update, so every row there subtracts the same multiples of R.
+    rng = np.random.default_rng(49)
+    for m, k in [(6, 8), (12, 20), (20, 40)] * 3:
+        A = rng.uniform(0, 2, (m, k))
+        A[A < 0.8] = -0.0
+        A[np.arange(m), rng.integers(0, k, m)] = 1.0
+        c = rng.uniform(0, 3, k)
+        c[rng.random(k) < 0.2] = -0.0
+        lp = LPInstance(c=c, A=A)
+        assert np.signbit(lp.A).any() and np.signbit(lp.c).any()
+        _assert_same_solution(lp_solve(lp), _full_tableau_lp_solve(lp))
+
+
+def test_lp_of_many_pivots_matches_full_tableau(stored_pivots):
+    # each step replays every pivot before it
+    lp = _klee_minty_lp(10)
+    _assert_same_solution(lp_solve(lp), _full_tableau_lp_solve(lp))
+    assert len(stored_pivots[-1]) > 200
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
