@@ -26,9 +26,10 @@ machine precision where they overlap:
 
 Sorted by radius, the sources of each route are column ranges of a row,
 and ``_range_values`` runs each step on its own columns, the rows that
-share their ranges at once; sources given in another order are sorted and
-the values put back.  This is the one evaluation of every block of order
-above 0, one point or many.  It computes every closed form before any
+share their ranges at once.  The sources are sorted, with their norms and
+powers, once per call or atom sum (``_source_set``), and a call puts the
+values back in their order.  This is the one evaluation of every block of
+order above 0, one point or many.  It computes every closed form before any
 power of the head, so a block that fails raises the error of the closed
 form where it has one.
 
@@ -126,25 +127,32 @@ def gegenbauer_tail_sum(lam, t, q, k_start):
     folded in, k d_k = 2(k+lam-1) (tq) d_{k-1} - (k+2lam-2) q^2 d_{k-2}.
     Sorted once by descending q, the raveled elements still active at a
     degree form a prefix, shrinking with the degree and updated in place.
+    When q spans the trailing axes of t (t, t* of G_m against one q), only
+    q's elements are sorted, by a stable sort of -q that merges the
+    descending runs of the kernel rows' tails; t's leading axes interleave.
     """
-    t, q = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(q, dtype=float))
-    shape, q = t.shape, q.ravel()
-    order = np.argsort(q)[::-1]
-    qs = q[order]
-    size = qs.size
+    t, q = np.asarray(t, dtype=float), np.asarray(q, dtype=float)
+    shape = np.broadcast_shapes(t.shape, q.shape)
+    if q.shape != shape[len(shape) - q.ndim :]:
+        q = np.broadcast_to(q, shape)
+    lead, q = math.prod(shape[: len(shape) - q.ndim]), q.ravel()
+    order = np.argsort(-q, kind="stable")
+    qs, size = q[order], q.size
 
     # active prefix length at degrees k_start+1 .. _SERIES_CAP
-    counts = size - np.searchsorted(qs[::-1], _tail_thresholds(lam, k_start))
+    counts = lead * (size - np.searchsorted(qs[::-1], _tail_thresholds(lam, k_start)))
     counts = counts[: np.count_nonzero(counts)].tolist()
     last = k_start + len(counts)
 
-    tq = t.ravel()[order]
+    order = (order[:, None] + size * np.arange(lead)).ravel()
+    tq = np.broadcast_to(t, shape).ravel()[order]
+    qs = np.repeat(qs, lead)
     tq *= qs
     q2 = np.multiply(qs, qs, out=qs)
-    total = np.full(size, 0.0 if k_start else 1.0)
-    work = np.empty(size)
+    total = np.full(qs.size, 0.0 if k_start else 1.0)
+    work = np.empty(qs.size)
     # d_{k-2}, d_{k-1} and the other arrays, cut to the active prefix of p elements
-    p, older, newer = size, np.ones(size), 2.0 * lam * tq
+    p, older, newer = qs.size, np.ones(qs.size), 2.0 * lam * tq
     tq_p, q2_p, total_p, work_p = tq, q2, total, work
     mul = np.multiply
     for k in range(1, last + 1):
@@ -169,21 +177,6 @@ def gegenbauer_tail_sum(lam, t, q, k_start):
 # ---------------------------------------------------------------------------
 # pair geometry, one coordinate at a time
 # ---------------------------------------------------------------------------
-
-
-def _operands(x, sources, n, width):
-    """Field points as rows xs (P, n), sources as rows ys (N, width), the
-    output shape (x's leading axis, if any, then the sources'), and the
-    norms ax (P, 1) and ay (N,)."""
-    xs, single = as_rows(x, n)
-    ys = np.asarray(sources, dtype=float)
-    if ys.shape[-1:] != (width,):
-        raise DimensionError(f"expected sources with {width} coordinates, got shape {ys.shape}")
-    shape = xs.shape[: 0 if single else 1] + ys.shape[:-1]
-    ys = ys.reshape(-1, width)
-    ax = np.sqrt(squared_norms(xs))[:, None]
-    ay = np.sqrt(squared_norms(ys, "source"))
-    return xs, ys, shape, ax, ay
 
 
 def _squared_distances(xs, ys):
@@ -269,11 +262,14 @@ def green(cfg: KernelConfig, x, y) -> float:
 
 
 def _finite_powers(base, exponent, what, where=True):
-    """base ** exponent for nonnegative bases; a power that overflows where
-    ``where`` holds is a DomainError, found by one reduction and raised
-    before numpy can warn (elsewhere it may be inf)."""
+    """base ** exponent for nonnegative bases, by ``_refuse_overflow``."""
     with np.errstate(over="ignore"):
-        p = base**exponent
+        return _refuse_overflow(base**exponent, what, where)
+
+
+def _refuse_overflow(p, what, where=True):
+    """Nonnegative powers p; one that overflowed where ``where`` holds is a
+    DomainError, found by one reduction (elsewhere it may be inf)."""
     if not np.isfinite(np.max(p, initial=0.0, where=where)):
         raise DomainError(f"kernel out of floating-point range: {what} overflows")
     return p
@@ -378,54 +374,84 @@ def _kernel(cfg, kind):
     return _Kernel(cfg, kind, n, 0.5 * (n - 2), n - 2, m + (green and m > 0), int(green))
 
 
-def _values(cfg, kind, x, sources):
-    """The modified kernel ``kind`` at x, (n,) or (P, n), against sources
-    of shape (..., width): the closed form on every pair at order 0, else
-    by column ranges (``_by_ranges``)."""
+@dataclass(frozen=True)
+class _Sources:
+    """The sources of a kernel sum, prepared once for all its blocks: rows
+    ys (N, width) sorted by their radii ay by the stable sort ``perm`` (None
+    if sorted, and at order 0), ``start`` the first column beyond the unit
+    sphere, and on [start, N) the head powers |y|^(power+k), k = first ..
+    order-1, and the tail scale |y|^(-power), computed with overflow
+    ignored: a block refuses an infinite head power on its direct columns."""
+
+    kernel: _Kernel
+    ys: np.ndarray
+    perm: np.ndarray | None
+    ay: np.ndarray
+    start: int
+    heads: list
+    scale: np.ndarray
+
+
+def _source_set(cfg, kind, sources):
+    """Sources of shape (..., width) of the modified kernel ``kind``."""
     k = _kernel(cfg, kind)
-    xs, ys, shape, ax, ay = _operands(x, sources, cfg.n, k.width)
-    if k.order:
-        out = _by_ranges(k, xs, ys, ax, ay)
-    else:
-        out = k.closed(xs, ys, _squared_distances(xs, ys))
-    return out.reshape(shape)[()]
-
-
-def _by_ranges(k, xs, ys, ax, ay):
-    """``_range_values`` on the sources sorted by radius (by a stable sort
-    here, unless they come sorted), with the values put back in the
-    sources' order."""
-    perm = np.argsort(ay, kind="stable") if np.any(ay[1:] < ay[:-1]) else None
+    ys = np.asarray(sources, dtype=float)
+    if ys.shape[-1:] != (k.width,):
+        raise DimensionError(f"expected sources with {k.width} coordinates, got shape {ys.shape}")
+    ys = ys.reshape(-1, k.width)
+    ay = np.sqrt(squared_norms(ys, "source"))
+    perm = np.argsort(ay, kind="stable") if k.order and np.any(ay[1:] < ay[:-1]) else None
     if perm is not None:
         ys, ay = ys[perm], ay[perm]
     start = int(np.searchsorted(ay, 1.0, "right"))
-    ends = np.maximum(np.searchsorted(ay, _seam(k.order) * ax.ravel()), start)
-    splits = np.flatnonzero(np.bincount(ends - start)) + start
-    vals = _range_values(k, xs, ys, ax, ay, start, ends, splits)
-    if perm is None:
-        return vals
-    out = np.empty_like(vals)
-    out[:, perm] = vals
-    return out
+    with np.errstate(over="ignore"):
+        heads = [ay[start:] ** (k.power + float(j)) for j in range(k.first, k.order)]
+        scale = ay[start:] ** (-float(k.power))
+    return _Sources(k, ys, perm, ay, start, heads, scale)
 
 
-def _range_values(k, xs, ys, ax, ay, start, ends, splits):
-    """k on rows xs (P, n) against sources ys (N, width) sorted by their
-    radii ay, nondecreasing: row r's plain, direct and tail sources are the
-    columns [0, start), [start, ends[r]) and [ends[r], N), and ``splits``
-    holds the distinct ends, ascending.
+def _values(cfg, kind, x, sources):
+    """The modified kernel ``kind`` at x, (n,) or (P, n), against sources
+    of shape (..., width), in their order; x is checked first."""
+    xs, single = as_rows(x, cfg.n)
+    ax = np.sqrt(squared_norms(xs))[:, None]
+    src = _source_set(cfg, kind, sources)
+    vals = _block_values(src, xs, ax)
+    if src.perm is not None:
+        vals[:, src.perm] = vals.copy()
+    return vals.reshape(xs.shape[: 0 if single else 1] + np.shape(sources)[:-1])[()]
+
+
+def _block_values(src, xs, ax):
+    """The kernel on rows xs (P, n) of norms ax (P, 1) against the prepared
+    sources ``src``, in their sorted order: the closed form on every pair
+    at order 0, else by column ranges.  A (P, N) array."""
+    k, ys = src.kernel, src.ys
+    if not k.order:
+        return k.closed(xs, ys, _squared_distances(xs, ys))
+    ends = np.maximum(np.searchsorted(src.ay, _seam(k.order) * ax.ravel()), src.start)
+    splits = np.flatnonzero(np.bincount(ends - src.start)) + src.start
+    return _range_values(src, xs, ax, ends, splits)
+
+
+def _range_values(src, xs, ax, ends, splits):
+    """The kernel on rows xs (P, n) against the prepared sources ``src``:
+    row r's plain, direct and tail sources are the columns [0, start),
+    [start, ends[r]) and [ends[r], N), and ``splits`` holds the distinct
+    ends, ascending.
 
     The rows that share an end form one group.  Each step runs only on the
     columns that need it, in this order: the closed form on every group's
     plain and direct columns, group by group; the cosines beyond the unit
-    sphere; the powers |x|^k and |y|^(power+k) of the head, each computed
-    once; the head of every group on its direct columns; and one tail
-    series call on every group's tail.  So a block that fails raises the
+    sphere; the powers |x|^k of the head, each computed once, and the check
+    of the prepared |y|^(power+k) on the direct columns; the head of every
+    group on its direct columns; and one tail series call on every group's
+    tail.  So a block that fails raises the
     error of the first failing step: a pair on the kernel's singularity or
     an overflowing |x - y|^n of P_m (a block holding both in different
     groups raises whichever comes first), else an overflowing power of the
     head, a DomainError.  A (P, N) array."""
-    lam, order, power, first = k.lam, k.order, k.power, k.first
+    k, ys, ay, start = src.kernel, src.ys, src.ay, src.start
     n_src = len(ys)
     out = np.empty((len(xs), n_src))
     groups = []
@@ -438,27 +464,25 @@ def _range_values(k, xs, ys, ax, ay, start, ends, splits):
             out[rows, :end] = k.closed(xr, ys[:end], _squared_distances(xr, ys[:end]))
         groups.append((rows, end))
     amp = k.amp(xs)
-    lo, hi = int(ends.min(initial=n_src)), int(ends.max(initial=start))
+    hi = int(ends.max(initial=start))
     outside = ys[start:]
     t = k.cosines(_dots(xs, outside), xs[:, -1:], outside[:, -1], ax, ay[start:], _cos_outside)
-    # the powers of the head, each computed once: of the rows with direct
-    # sources and of the direct source radii
+    # the powers of the head: of the rows with direct sources, and the
+    # prepared ones of the direct source radii
     near = ends > start
     heads = [
-        (_finite_powers(ax, j, "|x|^k", near[:, None]),
-         _finite_powers(ay[start:hi], power + float(j), "|y|^(p+k)"))
-        for j in range(first, order)
+        (_finite_powers(ax, j, "|x|^k", near[:, None]), _refuse_overflow(yk[: hi - start], "|y|^(p+k)"))
+        for j, yk in enumerate(src.heads, k.first)
     ]
-    scale = ay[lo:] ** (-float(power))
     tails = []
     for rows, end in groups:
         ampr = amp if np.ndim(amp) == 0 else amp[rows]
         if end > start:
             width = end - start
-            ladder = recurrence_ladder(lam, order - 1, np.stack([tj[rows, :width] for tj in t]))
+            ladder = recurrence_ladder(k.lam, k.order - 1, np.stack([tj[rows, :width] for tj in t]))
             ladder = ladder[:, 0] - ladder[:, 1] if len(t) == 2 else ladder[:, 0]
             head = np.zeros(ladder.shape[1:])
-            for j, (xk, yk) in enumerate(heads, first):
+            for j, (xk, yk) in enumerate(heads, k.first):
                 head += xk[rows] * ladder[j] / yk[:width]
             out[rows, start:end] -= ampr * head
         if end < n_src:
@@ -469,11 +493,11 @@ def _range_values(k, xs, ys, ax, ay, start, ends, splits):
              for rows, end, _, _ in tails],
             axis=1,
         )
-        s = gegenbauer_tail_sum(lam, tt, np.concatenate([q.ravel() for *_, q in tails]), order)
+        s = gegenbauer_tail_sum(k.lam, tt, np.concatenate([q.ravel() for *_, q in tails]), k.order)
         s = s[0] - s[1] if len(t) == 2 else s[0]
         at = 0
         for rows, end, ampr, q in tails:
-            out[rows, end:] = ampr * scale[end - lo :] * s[at : at + q.size].reshape(q.shape)
+            out[rows, end:] = ampr * src.scale[end - start :] * s[at : at + q.size].reshape(q.shape)
             at += q.size
     return out
 

@@ -38,9 +38,9 @@ import numpy as np
 from .errors import DomainError, HpotError, IntegrabilityError, SchemaError
 from .kernels import (
     KernelConfig,
-    modified_green_values,
+    _block_values,
+    _source_set,
     modified_poisson_sphere,
-    modified_poisson_values,
     sphere_moments,
 )
 from .geometry import as_coords, as_rows, squared_norms
@@ -53,14 +53,14 @@ from .measures import (
 from .quadrature import _leggauss, inverted_tail_rule, refined_breakpoints, tiled_panel_nodes
 
 _QUAD_TARGET = 1e-8
-# Point-source pairs per kernel block: large enough to spread the per-call
-# cost of the tail series.  With freed heap kept between blocks (the CLI's
-# memory policy) and the column-range kernels, one-core CPU of the
-# superposition benchmark's two sums (seed 19) read 0.56 / 0.41 / 0.34 /
-# 0.35 s at 2^13 / 2^14 / 2^15 / 2^16 (medians of 10 alternating rounds;
-# 2^15 and 2^16 were lower than 2^14 in 10 and 9 of them), but 2^15 raised
-# the benchmark's peak resident set from 44.3-45.4 to 47.2-47.4 MB (3 runs
-# each), so the blocks stay at 2^14.
+# Point-source pairs per kernel block of a Green sum; a Poisson pair counts
+# half (``_atom_sum``), so its blocks hold 2^15.  With the sources prepared
+# once per sum, block size matters little to CPU: one-core CPU of one
+# 300-point sum against 5000 atoms (n = 3, m = 2, medians of 30 alternating
+# rounds, two runs) read 1-5% lower at 2^15 than at 2^14 pairs, lower in
+# 16 to 24 of 30 rounds.  A block's tracemalloc peak is about 105 B per
+# Green pair and 58 B per Poisson pair: 1.8 MB at 2^14 Green pairs, 1.9 MB
+# at 2^15 Poisson pairs; 2^15 Green pairs would add about 1.6 MB.
 _BLOCK_ELEMENTS = 2**14
 # Least work, in point-source pairs, for each process of a forked block
 # evaluation.  On 2 cores, with the memory policy and the column-range
@@ -244,41 +244,43 @@ def _forked_rows(fn, pts, step, work):
     return np.concatenate(parts)
 
 
-def _atom_sum(cfg, x, kernel_values, sources, weights):
-    """sum_j w_j K(x, s_j) for one point (a float) or for each row of a
-    (P, n) array, evaluated in row blocks of at most _BLOCK_ELEMENTS
-    point-source pairs; a large array is spread over the usable cores.
+def _atom_sum(cfg, x, kind, sources, weights):
+    """sum_j w_j K(x, s_j) of the modified kernel ``kind`` ("green" or
+    "poisson") for one point (a float) or for each row of a (P, n) array,
+    evaluated in row blocks; a large array is spread over the usable cores.
 
-    The kernels run on the sources sorted once by radius (a stable sort),
-    and each block's values are put back in the given source order before
-    the weights are applied, so the sums are those of the unsorted call."""
+    The sources are prepared once per sum (``kernels._source_set``), the
+    weights put in their order, and each row of a block is contracted on
+    its own, so a point's sum does not depend on the other points of its
+    block."""
     pts, single = _eval_points(cfg, x)
     if not len(weights):
         return 0.0 if single else np.zeros(len(pts))
-    step = max(1, _BLOCK_ELEMENTS // len(weights))
-    # a source whose squared norm overflows is the kernels' own DomainError
-    perm = np.argsort(np.sqrt(squared_norms(sources, "source")), kind="stable")
-    sources, inv = sources[perm], np.argsort(perm)
+    src = _source_set(cfg, kind, sources)
+    w = weights if src.perm is None else weights[src.perm]
+    # Work and memory in pairs of a Green sum.  A Poisson pair (boundary
+    # sources, n-1 coordinates and one cosine) costs about half a Green
+    # pair, and a fork of it paid only from about twice the pairs: on 2
+    # cores, 5000-atom sums (medians of 15 alternating runs, repeated)
+    # forked lower in 1 to 3 of 15 runs at 120k to 135k Poisson pairs, swung
+    # between 0 and 14 of 15 at 165k to 240k, and was lower in 12 to 13 of
+    # 15 at 260k to 300k, while a Green sum forked lower in 14 of 15 from
+    # 120k.  So a Poisson sum forks from 2^18 pairs, and its blocks hold
+    # twice the pairs of a Green sum's.
+    pair = 0.5 if kind == "poisson" else 1.0
+    step = max(1, int(_BLOCK_ELEMENTS // (pair * len(weights))))
 
     def block_sums(rows):
         out = np.empty(len(rows))
         for i in range(0, len(rows), step):
-            vals = kernel_values(cfg, rows[i : i + step], sources)
-            out[i : i + step] = np.take(vals, inv, axis=1) @ weights
+            xs = rows[i : i + step]
+            vals = _block_values(src, xs, np.sqrt(squared_norms(xs))[:, None])
+            # each row reduced alone: BLAS takes rows in groups, and einsum's
+            # sum of a row past 8192 columns depends on the block's other rows
+            out[i : i + step] = np.multiply(vals, w, out=vals).sum(axis=1)
         return out
 
-    # Work in pairs of a Green sum.  A Poisson pair (boundary sources, n-1
-    # coordinates) costs about half a Green pair, and a fork of it paid only
-    # from about twice the pairs: on 2 cores, 5000-atom sums (medians of 15
-    # alternating runs, repeated) forked lower in 1 to 3 of 15 runs at 120k
-    # to 135k Poisson pairs, swung between 0 and 14 of 15 at 165k to 240k,
-    # and was lower in 12 to 13 of 15 at 260k to 300k, while a Green sum
-    # forked lower in 14 of 15 from 120k.  So a Poisson sum forks from 2^18
-    # pairs.
-    work = len(pts) * len(weights)
-    if sources.shape[1] == cfg.n - 1:
-        work //= 2
-    out = _forked_rows(block_sums, pts, step, work)
+    out = _forked_rows(block_sums, pts, step, int(pair * len(pts) * len(weights)))
     return float(out[0]) if single else out
 
 
@@ -306,9 +308,7 @@ def eval_dirichlet(fieldobj: PotentialField, x, *, require_converged=False):
     target is a DomainError naming the first such row and its estimate."""
     data = _expect(fieldobj, "dirichlet")
     if data.kind == "atoms":
-        return _atom_sum(
-            fieldobj.cfg, x, modified_poisson_values, data.points, data.weights
-        )
+        return _atom_sum(fieldobj.cfg, x, "poisson", data.points, data.weights)
     cfg = fieldobj.cfg
     pts, single = _eval_points(cfg, x)
 
@@ -337,7 +337,7 @@ def eval_dirichlet_detailed(fieldobj: PotentialField, x):
     cfg = fieldobj.cfg
     pts, _ = _eval_points(cfg, as_coords(x, cfg.n))
     if data.kind == "atoms":
-        return _atom_sum(cfg, pts[0], modified_poisson_values, data.points, data.weights), {}
+        return _atom_sum(cfg, pts[0], "poisson", data.points, data.weights), {}
     values, meta = _radial_family_quadrature(cfg, pts, data)
     return float(values[0]), {
         "rel_err_estimate": float(meta["rel_err_estimate"][0]),
@@ -349,7 +349,7 @@ def eval_green_potential(fieldobj: PotentialField, x):
     """Green potential of an atomic measure, an exact kernel sum, at one
     point (a float) or at each row of a (P, n) array (a (P,) array)."""
     mu = _expect(fieldobj, "green")
-    return _atom_sum(fieldobj.cfg, x, modified_green_values, mu.points, mu.masses)
+    return _atom_sum(fieldobj.cfg, x, "green", mu.points, mu.masses)
 
 
 def eval_superposition(vf: PotentialField, hf: PotentialField, x, *, require_converged=False):

@@ -288,22 +288,11 @@ def test_a_poisson_pair_counts_half_a_green_pair(cores):
     assert _no_children_left()
 
 
-def test_a_wrapped_poisson_kernel_still_counts_half(cores, monkeypatch):
-    # the pair weight is read from the sources, so a wrapper around the
-    # kernel (as a span tracer installs one) does not change the fork:
-    # 40 x 5000 = 200k Poisson pairs stay in one process on two cores
-    import functools
-
+def test_poisson_pairs_count_half_for_the_fork(cores):
+    # a Poisson pair counts as half a Green pair: 40 x 5000 = 200k Poisson
+    # pairs stay in one process on two cores
     from hpot.kernels import KernelConfig
     from hpot.measures import BoundaryData
-
-    real_kernel = potentials.modified_poisson_values
-    calls = []
-
-    @functools.wraps(real_kernel)
-    def wrapped(*args, **kwargs):
-        calls.append(1)
-        return real_kernel(*args, **kwargs)
 
     rng = np.random.default_rng(45)
     cfg, atoms = KernelConfig(3, 2), 5000
@@ -313,9 +302,45 @@ def test_a_wrapped_poisson_kernel_still_counts_half(cores, monkeypatch):
     vf = potentials.dirichlet_field(cfg, BoundaryData.atoms(2, boundary, rng.uniform(-1, 1, atoms)))
     cores.set(1)
     want = potentials.eval_dirichlet(vf, pts)
-    monkeypatch.setattr(potentials, "modified_poisson_values", wrapped)
     cores.set(2)
     got = potentials.eval_dirichlet(vf, pts)
-    assert calls and cores.forks == 0
+    assert cores.forks == 0
     assert got.tobytes() == want.tobytes()
+    assert _no_children_left()
+
+
+@pytest.mark.parametrize("kind", ["green", "poisson"])
+def test_a_points_atom_sum_does_not_depend_on_its_batch(cores, kind):
+    # each point alone gives the bytes of its row in batches of 1 to 9
+    # points, and in a forked run whose rows end in a part block; Poisson
+    # sums also against 9000 sources, past the 8192 columns from which an
+    # einsum contraction of a row depends on the block's other rows
+    from hpot.kernels import KernelConfig
+
+    rng = np.random.default_rng(46)
+    cfg = KernelConfig(3, 2)
+    width, pair = (3, 1.0) if kind == "green" else (2, 0.5)
+    cores.set(1)
+    for count in (24, 5000) + ((9000,) if kind == "poisson" else ()):
+        src = rng.normal(size=(count, width)) * rng.uniform(0.3, 300.0, (count, 1))
+        src[:, -1] = np.abs(src[:, -1]) if kind == "green" else src[:, -1]
+        w = rng.uniform(-1.0, 1.0, count)
+        step = max(1, int(potentials._BLOCK_ELEMENTS // (pair * count)))
+        rows = 12
+        if count > 24:
+            rows = -(-2 * potentials._FORK_MIN_WORK // int(pair * count))
+            rows += rows % step == 0
+        pts = _half_space_points(rng, rows, 3)
+        alone = np.array([potentials._atom_sum(cfg, p, kind, src, w) for p in pts])
+        for size in range(1, 10):
+            got = np.concatenate([potentials._atom_sum(cfg, pts[lo : lo + size], kind, src, w)
+                                  for lo in range(0, 12, size)])
+            assert got.tobytes() == alone[: len(got)].tobytes(), (count, size)
+        if count > 24:
+            cores.set(2)
+            forks_before = cores.forks
+            got = potentials._atom_sum(cfg, pts, kind, src, w)
+            assert cores.forks > forks_before and rows % step
+            assert got.tobytes() == alone.tobytes(), count
+            cores.set(1)
     assert _no_children_left()

@@ -213,21 +213,22 @@ def test_forced_paths_equal_the_reference():
             assert _same(fn(cfg, rows, src), ref(cfg, rows, src)), (fn.__name__, n, m)
 
 
-def test_atom_sums_equal_block_sums_in_input_order(monkeypatch):
+def test_atom_sums_equal_row_sums_in_radius_order(monkeypatch):
+    # each point's sum is its kernel row against the sources sorted by
+    # radius (a stable sort), times the weights in that order, summed alone
     counts = _paths(monkeypatch)
     rng = np.random.default_rng(720)
     cfg = KernelConfig(3, 2)
     pts = np.abs(rng.normal(size=(40, 3))) * rng.uniform(0.2, 30.0, (40, 1))
-    for fn, ref, drop in KERNELS[1:]:
+    for (fn, ref, drop), kind in zip(KERNELS[1:], ("green", "poisson")):
         for count in (5000, 24):
             src = _sources(rng, 3, 3 - drop, count)
             w = rng.uniform(-1.0, 1.0, count)
-            step = max(1, potentials._BLOCK_ELEMENTS // count)
-            want = np.concatenate([fn(cfg, pts[i : i + step], src) @ w for i in range(0, len(pts), step)])
-            got = potentials._atom_sum(cfg, pts, fn, src, w)
-            assert _same(got, want), (fn.__name__, count)
-            want = np.concatenate([ref(cfg, pts[i : i + step], src) @ w for i in range(0, len(pts), step)])
-            assert _same(got, want), (fn.__name__, count)
+            perm = np.argsort(np.sqrt(squared_norms(src, "source")), kind="stable")
+            got = potentials._atom_sum(cfg, pts, kind, src, w)
+            for kernel in (fn, ref):
+                want = [np.sum(kernel(cfg, p, src[perm]) * w[perm]) for p in pts]
+                assert _same(got, np.array(want)), (kernel.__name__, count)
     assert counts["range"] > 0
 
 

@@ -447,6 +447,31 @@ def test_tail_sum_interleaved_rows_match_reference():
         assert got.shape == ref.shape and np.array_equal(got, ref)
 
 
+def test_tail_sum_edge_layouts_match_reference():
+    rng = np.random.default_rng(32)
+    # descending runs, one per kernel row, whose q values tie across rows,
+    # against the pair t, t* and against one cosine
+    runs = np.sort(rng.uniform(0.0, 0.5, (4, 9)), axis=1)[:, ::-1]
+    runs[1, 2:6] = runs[0, 3:7]
+    runs[3] = runs[2]
+    runs[2, -2:] = 0.0
+    q = runs.ravel()
+    cases = [
+        (np.zeros((2, 0)), np.zeros(0)),  # an empty tail
+        (rng.uniform(-1.0, 1.0, (2, q.size)), q),
+        (rng.uniform(-1.0, 1.0, (1, q.size)), q),
+        (rng.uniform(-1.0, 1.0, 7), q[:, None]),  # the polar broadcast, (R, 1) by (G,)
+        # q not spanning the trailing axes of t
+        (rng.uniform(-1.0, 1.0, (3, 5)), rng.uniform(0.0, 0.5, (3, 1))),
+        (rng.uniform(-1.0, 1.0, (2, 5)), rng.uniform(0.0, 0.5, (1, 5))),
+        (rng.uniform(-1.0, 1.0, (4, 1)), rng.uniform(0.0, 0.5, 6)),
+    ]
+    for t, q in cases:
+        for lam, k_start in ((1.5, 2), (0.5, 0), (2.5, 4)):
+            got, ref = gegenbauer_tail_sum(lam, t, q, k_start), _reference_tail_sum(lam, t, q, k_start)
+            assert got.shape == ref.shape and got.tobytes() == ref.tobytes(), (t.shape, q.shape, lam)
+
+
 def test_tail_sum_shapes_and_elementwise_truncation():
     empty = gegenbauer_tail_sum(1.5, np.zeros(0), np.zeros(0), 1)
     assert empty.shape == (0,)
