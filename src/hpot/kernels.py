@@ -34,8 +34,9 @@ power of the head, so a block that fails raises the error of the closed
 form where it has one.
 
 The quadrature integrates P_m over boundary spheres (``modified_poisson_sphere``,
-a 2F1 and moments of each point); ``modified_poisson_polar`` gives P_m on a
-grid of radii by cosines.
+a 2F1 and moments of each point).  ``modified_poisson_polar`` gives P_m on a
+grid of radii by cosines, as the Cartesian kernel with x' turned onto the
+first axis.
 
 The Cartesian kernels take one field point x of shape (n,) or a block of
 points (P, n), giving values of shape (N,) or (P, N) against N sources.
@@ -356,14 +357,15 @@ class _Kernel:
         xn = xs[:, -1:]
         return _poisson_closed_form(cfg, xn, d2 + xn * xn)
 
-    def cosines(self, dots, xn, yn, ax, ay, cos):
-        """The cosines of pairs from their dots x'.y, heights x_n and y_n,
-        and norms, by ``cos``: a list of one array, or for G_m of two, the
-        second for the reflected sources."""
+    def cosines(self, dots, xn, yn, ax, ay):
+        """The cosines of pairs with sources outside the unit ball from
+        their dots x'.y, heights x_n and y_n, and norms (``_cos_outside``):
+        a list of one array, or for G_m of two, the second for the reflected
+        sources."""
         if self.kind != "green":
-            return [cos(dots, ax, ay)]
+            return [_cos_outside(dots, ax, ay)]
         star = dots - 2.0 * yn * xn
-        return [cos(dots, ax, ay), cos(star, ax, ay)]
+        return [_cos_outside(dots, ax, ay), _cos_outside(star, ax, ay)]
 
 
 def _kernel(cfg, kind):
@@ -466,7 +468,7 @@ def _range_values(src, xs, ax, ends, splits):
     amp = k.amp(xs)
     hi = int(ends.max(initial=start))
     outside = ys[start:]
-    t = k.cosines(_dots(xs, outside), xs[:, -1:], outside[:, -1], ax, ay[start:], _cos_outside)
+    t = k.cosines(_dots(xs, outside), xs[:, -1:], outside[:, -1], ax, ay[start:])
     # the powers of the head: of the rows with direct sources, and the
     # prepared ones of the direct source radii
     near = ends > start
@@ -552,30 +554,20 @@ def modified_poisson_polar(cfg: KernelConfig, x, rho, cos_gamma) -> np.ndarray:
     """Modified Poisson kernel on the polar grid of boundary sources: radii
     rho (raveled, R values) by cosines cos_gamma (raveled, G values) of the
     angle to the tangential part of x, as an (R, G) array; a scalar counts
-    as one value.  Each row takes its route (``_routes``), and every step
-    is elementwise, so row r equals the call on rho[r] bit for bit."""
-    n, m = cfg.n, cfg.m
-    cx = as_coords(x, n)
+    as one value.  The kernel sees x' only through |x'| and x'.y, so x' is
+    turned onto the first axis and the sources rho (cos_gamma, sin_gamma, 0,
+    ...) take ``modified_poisson_values``, whose every step is elementwise:
+    row r equals the call on rho[r] bit for bit."""
+    cx = as_coords(x, cfg.n)
     rho, cosg = (np.ravel(np.asarray(a, dtype=float)) for a in (rho, cos_gamma))
-    squared_norms(cx[None, :])  # an overflowing |x|^2 is refused before np.dot warns
-    ax2, xn = float(np.dot(cx, cx)), cx[-1]
-    ax, x_tan = math.sqrt(ax2), math.sqrt(max(ax2 - xn * xn, 0.0))
-    tail, direct = _routes(ax, rho, m)
-    out = np.empty((rho.size, cosg.size))
-    # the closed form only on plain and direct rows: tail rows may overflow it
-    rn = rho[~tail, None]
-    d2 = ax2 - (2.0 * x_tan) * rn * cosg + squared_norms(rn, "source")[:, None]
-    out[~tail] = _poisson_closed_form(cfg, xn, d2)
-    if m:
-        lam, amp = 0.5 * n, 2.0 * xn / cfg.omega_n
-        t = np.clip(x_tan * cosg / ax, -1, 1) if ax else np.zeros(cosg.size)
-        rt = rho[tail, None]
-        out[tail] = amp * rt ** -float(n) * gegenbauer_tail_sum(lam, t, ax / rt, m)
-        ks = np.arange(m)
-        head = _finite_powers(ax, ks, "|x|^k")
-        head = head / _finite_powers(rho[direct, None], n + ks, "rho^(n+k)")
-        out[direct] -= amp * np.einsum("rk,kg->rg", head, recurrence_ladder(lam, m - 1, t))
-    return out
+    if not np.all(np.abs(cosg) <= 1.0):
+        raise DomainError("cos_gamma must lie in [-1, 1]")
+    turned = np.zeros(cfg.n)
+    turned[0], turned[-1] = math.hypot(*cx[:-1]), cx[-1]
+    ys = np.zeros((rho.size, cosg.size, cfg.n - 1))
+    ys[..., 0] = rho[:, None] * cosg
+    ys[..., 1] = rho[:, None] * np.sqrt((1.0 - cosg) * (1.0 + cosg))
+    return _values(cfg, "poisson", turned, ys)
 
 
 # ---------------------------------------------------------------------------

@@ -19,11 +19,10 @@ point's terms are added in order, so its value, estimate and flag are
 those of the point alone, bit for bit; a block that raises is run again
 point by point, so the error is the one of the first failing row.
 
-A block of points large enough to pay for a fork is cut into contiguous
-slices, one per core of the process's affinity, each computed by a process
-pinned to its core.  Slices hold whole kernel blocks (atom sums) or whole
-points (families, with their error estimates and flags), so the values, and
-the first error in row order, are those of a one-process run.
+An atom sum large enough to pay for a fork is cut into contiguous slices,
+one per core of the process's affinity, each computed by a process pinned
+to its core.  Slices hold whole kernel blocks, so the values, and the first
+error in row order, are those of a one-process run.
 """
 from __future__ import annotations
 
@@ -71,15 +70,6 @@ _BLOCK_ELEMENTS = 2**14
 # per process would lose the Green sums of 131k-262k pairs, so a fork
 # needs 2^16 pairs per process.
 _FORK_MIN_WORK = 2**16
-# Work of one family point, in pairs of a Green sum: family blocks fork from
-# 2 _FORK_MIN_WORK / 2^8 = 512 points.  A point of the Dirichlet benchmark
-# costs about 0.1 ms on one core.  On 2 cores (medians of 15 alternating
-# runs, the CLI's memory policy) a fork of gaussian_bump points was lower in
-# 0 of 15 at 48 and 96 points, 1 at 192, 9 at 256 and 384, 12 at 512 (43.4
-# -> 37.0 ms) and 13 at 768; of indicator_ball points in 0 to 3 of 15 up to
-# 512 (22.6 vs 23.5 ms) and 13 at 768; at 48 points 6.1 and 4.6 ms against
-# 12.6 and 13.0 ms forked.
-_QUAD_POINT_WORK = 2**8
 # Radial nodes per block of a quadrature pass (the benchmark's sets hold
 # 0.9k-6k).  One-core CPU per benchmark sequence (seed 7) and of 480
 # gaussian_bump points (medians of 30 alternating rounds): 16.6 / 16.5 / 16.5
@@ -184,21 +174,21 @@ def _fork_slice(fn, rows, core):
     return pid, rfd
 
 
-def _receive_slice(pid, rfd, shape):
-    """The values one child sent, as an array of ``shape``, or None unless
-    it sent exactly that many float64 values (it raised, died or was cut
-    short); the child is reaped either way."""
+def _receive_slice(pid, rfd, count):
+    """The ``count`` values one child sent, or None unless it sent exactly
+    that many float64 values (it raised, died or was cut short); the child
+    is reaped either way."""
     try:
         with os.fdopen(rfd, "rb") as fh:
             data = fh.read()
     finally:
         os.waitpid(pid, 0)
-    return np.frombuffer(data).reshape(shape) if len(data) == 8 * math.prod(shape) else None
+    return np.frombuffer(data) if len(data) == 8 * count else None
 
 
 def _forked_rows(fn, pts, step, work):
-    """fn(pts) for a function whose float64 result, (P,) or (P, k), is
-    computed row by row, with the rows spread over the usable cores.
+    """fn(pts) for a function whose float64 result, (P,), is computed row
+    by row, with the rows spread over the usable cores.
 
     pts is cut into W contiguous slices at multiples of ``step`` rows, W =
     min(usable cores, blocks of ``step`` rows, work // _FORK_MIN_WORK).
@@ -228,7 +218,7 @@ def _forked_rows(fn, pts, step, work):
             part = None
             if child is not None:
                 children[i] = None
-                part = _receive_slice(*child, (len(rows),) + parts[0].shape[1:])
+                part = _receive_slice(*child, len(rows))
             parts.append(fn(rows) if part is None else part)
     finally:
         _pin(set(cores))
@@ -311,22 +301,17 @@ def eval_dirichlet(fieldobj: PotentialField, x, *, require_converged=False):
         return _atom_sum(fieldobj.cfg, x, "poisson", data.points, data.weights)
     cfg = fieldobj.cfg
     pts, single = _eval_points(cfg, x)
-
-    def detailed_rows(rows):
-        values, meta = _radial_family_quadrature(cfg, rows, data)
-        return np.column_stack((values, meta["rel_err_estimate"], meta["converged"]))
-
-    out = _forked_rows(detailed_rows, pts, 1, len(pts) * _QUAD_POINT_WORK)
+    values, meta = _radial_family_quadrature(cfg, pts, data)
     if require_converged:
-        missed = np.flatnonzero(out[:, 2] == 0.0)
+        missed = np.flatnonzero(~meta["converged"])
         if missed.size:
             i = int(missed[0])
             where = "(" + ", ".join(format_float(c) for c in pts[i]) + ")"
             raise DomainError(
-                f"quadrature did not converge at row {i} (x = {where}): "
-                f"rel_err_estimate {format_float(out[i, 1])} exceeds the target {_QUAD_TARGET:g}"
+                f"quadrature did not converge at row {i} (x = {where}): rel_err_estimate "
+                f"{format_float(meta['rel_err_estimate'][i])} exceeds the target {_QUAD_TARGET:g}"
             )
-    return float(out[0, 0]) if single else out[:, 0].copy()
+    return float(values[0]) if single else values
 
 
 def eval_dirichlet_detailed(fieldobj: PotentialField, x):

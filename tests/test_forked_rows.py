@@ -82,8 +82,8 @@ def _superposition_argv(tmp_path, rng):
             "--points", str(pts), "--n", "3", "--m", "2"]
 
 
-def _family_argv(tmp_path, rng, extra=3):
-    rows = 2 * potentials._FORK_MIN_WORK // potentials._QUAD_POINT_WORK + extra
+def _family_argv(tmp_path, rng):
+    rows = 515  # family blocks once forked from 512 points
     data, pts = tmp_path / "data.json", tmp_path / "p.csv"
     data.write_text(json.dumps({"dimension": 2, "kind": "family",
                                 "family": {"id": "indicator_ball", "params": {"R": 2.0}}}))
@@ -103,8 +103,8 @@ def _growth_argv(tmp_path, rng):
             "--alpha", "1.0", "--rays", str(rays), "--radii", f"2:500:{radii}", "--seed", "7"]
 
 
-@pytest.mark.parametrize("build", [_superposition_argv, _family_argv, _growth_argv],
-                         ids=["superposition", "family", "growth"])
+@pytest.mark.parametrize("build", [_superposition_argv, _growth_argv],
+                         ids=["superposition", "growth"])
 def test_two_processes_print_the_bytes_of_one(tmp_path, capsys, cores, build):
     argv = build(tmp_path, np.random.default_rng(41))
     outputs = []
@@ -134,9 +134,15 @@ def test_block_below_the_threshold_never_forks(tmp_path, capsys, cores, monkeypa
     _write_points(pts, _half_space_points(rng, 2 * potentials._FORK_MIN_WORK // atoms - 1, 3))
     assert main(["potential", "--kind", "green", "--measure", str(mu), "--points", str(pts),
                  "--n", "3", "--m", "1"]) == 0
-    # family points: one point short of two slices
-    assert main(_family_argv(tmp_path, rng, extra=-1)) == 0
     assert capsys.readouterr().err == ""
+    # family points run in one process however many there are
+    argv = _family_argv(tmp_path, rng)
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and out
+    cores.set(1)
+    assert main(argv) == 0
+    assert capsys.readouterr().out == out
 
 
 def _error_argv(tmp_path, rng, first, last):
@@ -221,42 +227,6 @@ def test_a_slice_whose_child_raises_is_computed_here(cores):
     got = potentials._forked_rows(raises_in_child, pts, 5, 2 * potentials._FORK_MIN_WORK)
     assert cores.forks == 1
     assert np.array_equal(got, raises_in_child(pts))
-    assert _no_children_left()
-
-
-def test_forked_family_rows_carry_the_estimates(cores, monkeypatch):
-    # each row comes back from a child with its value, error estimate and
-    # convergence flag: the unconverged last row lies in the child's slice
-    from hpot.kernels import KernelConfig
-    from hpot.measures import BoundaryData
-
-    monkeypatch.setattr(potentials, "_FORK_MIN_WORK", potentials._QUAD_POINT_WORK)
-    parent, real_quadrature = os.getpid(), potentials._radial_family_quadrature
-    rows_here = []  # rows evaluated in this process
-
-    def counting_quadrature(cfg, rows, data):
-        if os.getpid() == parent:
-            rows_here.append(len(rows))
-        return real_quadrature(cfg, rows, data)
-
-    monkeypatch.setattr(potentials, "_radial_family_quadrature", counting_quadrature)
-    vf = potentials.dirichlet_field(KernelConfig(3, 1), BoundaryData.power_growth(2, 0.5))
-    pts = np.array([[0.3, 0.2, 1.0], [2.0, -1.0, 0.5], [1.0, 0.0, 3e-5],
-                    [0.0, 0.0, 3.0], [5.0, 1.0, 4.0], [1.0, 0.0, 1.5e-11]])
-    results = []
-    for k in (1, 2):
-        cores.set(k)
-        forks_before = cores.forks
-        rows_here.clear()
-        values = potentials.eval_dirichlet(vf, pts)
-        with pytest.raises(potentials.DomainError) as refused:
-            potentials.eval_dirichlet(vf, pts, require_converged=True)
-        assert (cores.forks > forks_before) == (k == 2)
-        # with a child, its slice is not computed again here
-        assert rows_here == [6 // k, 6 // k]
-        results.append((values.tobytes(), str(refused.value)))
-    assert results[0] == results[1]
-    assert results[0][1].startswith("quadrature did not converge at row 5 ")
     assert _no_children_left()
 
 

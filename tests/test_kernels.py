@@ -757,6 +757,30 @@ def test_polar_grid_rows_equal_one_row_calls():
                 assert np.array_equal(modified_poisson_polar(cfg, x, rho[r], offset)[0], grid[r])
 
 
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_polar_grid_on_the_axis(n):
+    # x' = 0: the sources lie in the plane of the first two axes, cos_gamma
+    # = 1 on the first, and the kernel depends on the radius alone
+    cosg = np.cos(np.linspace(0.0, math.pi, 13))
+    x = np.zeros(n)
+    x[-1] = 1.3
+    rho = np.geomspace(0.2, 40.0, 29)  # off the seams 1, 2|x| and 4|x|
+    on_axis = np.zeros((len(rho), n - 1))
+    on_axis[:, 0] = rho
+    for m in range(5):
+        cfg = KernelConfig(n, m)
+        grid = modified_poisson_polar(cfg, x, rho, cosg)
+        want = modified_poisson_values(cfg, x, on_axis)
+        assert np.array_equal(grid[:, 0], want), m
+        assert np.all(np.abs(grid - want[:, None]) <= 1e-13 * np.abs(want[:, None])), m
+        with pytest.raises(DomainError) as refused:
+            modified_poisson_polar(cfg, x, [0.5, 1e200], cosg)
+        assert str(refused.value) == "source too large: its squared norm overflows"
+        for bad in (1.0 + 2**-52, math.nan):
+            with pytest.raises(DomainError, match=r"cos_gamma must lie in \[-1, 1\]"):
+                modified_poisson_polar(cfg, x, rho, [1.0, bad])
+
+
 def test_overflowing_kernel_powers_are_domain_errors():
     # every squared norm is finite, but a power of the kernel is not: one
     # domain error, raised before numpy warns
@@ -770,7 +794,7 @@ def test_overflowing_kernel_powers_are_domain_errors():
             modified_poisson_polar(cfg, far, 0.5, 1.0)
         # a direct-route source radius: rho^(n+m-1) = rho^5 overflows while
         # |x - y|^3 stays finite
-        with pytest.raises(DomainError, match=r"rho\^\(n\+k\)"):
+        with pytest.raises(DomainError, match=r"\|y\|\^\(p\+k\)"):
             modified_poisson_polar(cfg, x, 1.5e100, 1.0)
         assert np.isfinite(modified_poisson_polar(cfg, x, [0.5, 3e100], 1.0)).all()
         # the Cartesian direct head: |y'|^(n+k) overflows for k = 1 while
